@@ -4,6 +4,8 @@
 // and the bucket index maintenance.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -104,21 +106,32 @@ void BM_TokenStream(benchmark::State& state) {
 BENCHMARK(BM_TokenStream)->Arg(1000)->Arg(4000);
 
 void BM_BucketIndexChurn(benchmark::State& state) {
+  // Refinement's access pattern: every candidate enters at m = capacity,
+  // stream edges move random live candidates one bucket down with a higher
+  // row sum (leaving a stale heap entry behind), and each tuple runs a
+  // prune pass against a rising threshold.
   const size_t n = static_cast<size_t>(state.range(0));
   util::Rng rng(7);
   for (auto _ : state) {
     core::BucketIndex buckets;
-    for (SetId id = 0; id < n; ++id) {
-      buckets.Insert(id, 10 + static_cast<uint32_t>(id % 5), 0.0);
+    std::vector<uint32_t> m(n);
+    std::vector<double> row_sum(n, 0.0);
+    for (uint32_t c = 0; c < n; ++c) {
+      m[c] = 10 + c % 5;
+      buckets.Insert(c, m[c], 0.0);
     }
-    // Simulate stream-driven moves + periodic prunes.
-    double theta = 0.0;
-    for (size_t step = 0; step < n; ++step) {
-      const SetId id = static_cast<SetId>(rng.NextBounded(n));
-      (void)id;
-      theta += 0.001;
-      buckets.Prune(0.8, theta, [](SetId) {});
-      if (buckets.size() == 0) break;
+    double theta = 0.0, sim = 0.9;
+    for (size_t step = 0; step < 4 * n && buckets.size() > 0; ++step) {
+      const uint32_t c = static_cast<uint32_t>(rng.NextBounded(n));
+      if (m[c] > 0 && m[c] != UINT32_MAX) {
+        row_sum[c] += sim;
+        buckets.Move(c, --m[c], row_sum[c]);
+      }
+      if (step % 16 == 0) {
+        theta += 0.01;
+        sim = std::max(0.5, sim - 0.001);
+        buckets.Prune(sim, theta, [&](uint32_t p) { m[p] = UINT32_MAX; });
+      }
     }
     benchmark::DoNotOptimize(buckets.size());
   }

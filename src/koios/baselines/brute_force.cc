@@ -42,7 +42,7 @@ core::SearchResult BruteForceBaseline::Search(std::span<const TokenId> query,
     core::RefinementPhase refinement(sets_, &inverted_, query.size(), params);
     core::RefinementOutput refined = refinement.Run(&cache, &result.stats);
     to_verify.reserve(refined.survivors.size());
-    for (const auto& state : refined.survivors) to_verify.push_back(state.set());
+    for (const auto& state : refined.survivors) to_verify.push_back(state.set);
   } else {
     // Plain baseline: every set that shares one α-similar element.
     std::unordered_set<SetId> candidates;

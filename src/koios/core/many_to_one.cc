@@ -1,9 +1,9 @@
 #include "koios/core/many_to_one.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "koios/core/bucket_index.h"
+#include "koios/core/candidate_state.h"
 #include "koios/core/edge_cache.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/timer.h"
@@ -39,26 +39,14 @@ SearchResult ManyToOneSearcher::Search(std::span<const TokenId> query,
       std::vector<TokenId>(query.begin(), query.end()), index_, params.alpha,
       [this](TokenId t) { return inverted_.InVocabulary(t); });
 
-  // Per-candidate state: the set of query rows whose maximum has been
-  // retained (first edge per row = row max, by stream order) and the
-  // accumulated score. Unlike the 1:1 engine there is no capacity cap —
-  // every query row contributes.
-  struct State {
-    Score score = 0.0;
-    std::vector<uint32_t> rows;  // sorted retained rows
-    bool AddRow(uint32_t row, Score s) {
-      auto it = std::lower_bound(rows.begin(), rows.end(), row);
-      if (it != rows.end() && *it == row) return false;
-      rows.insert(it, row);
-      score += s;
-      return true;
-    }
-  };
-  std::unordered_map<SetId, State> states;
-  std::vector<uint8_t> pruned(sets_->size(), 0);
+  // Per-candidate state: the retained query rows (first edge per row = row
+  // max, by stream order) and their sum, the accumulated score. Unlike the
+  // 1:1 engine there is no capacity cap — every query row contributes — so
+  // each set is admitted with |C| := |Q| and no matching is tracked.
+  const uint32_t rows_total = static_cast<uint32_t>(query.size());
+  CandidateTable table(sets_, query.size());
   util::TopKList<SetId> topk(params.k);
   BucketIndex buckets;  // key: |Q| - rows seen; value: score
-  const uint32_t rows_total = static_cast<uint32_t>(query.size());
 
   size_t tuples = 0;
   while (auto tuple = stream.Next()) {
@@ -68,39 +56,34 @@ SearchResult ManyToOneSearcher::Search(std::span<const TokenId> query,
     // the same retained-row-maxima bound as the 1:1 engine, which for the
     // many-to-one measure equals the final score.
     if (params.use_iub_filter) {
-      buckets.Prune(s, topk.Bottom(), [&](SetId id) {
-        pruned[id] = 1;
-        states.erase(id);
+      buckets.Prune(s, topk.Bottom(), [&](uint32_t c) {
+        table.Prune(table.record(c).set);
         ++result.stats.iub_filtered;
       });
     }
     for (SetId id : inverted_.Postings(tuple->token)) {
-      if (pruned[id]) continue;
-      auto it = states.find(id);
-      if (it == states.end()) {
+      uint32_t c = table.slot(id);
+      if (c == CandidateTable::kPruned) continue;
+      if (c == CandidateTable::kUnseen) {
         ++result.stats.candidates;
         const Score ub0 = static_cast<Score>(rows_total) * s;
         if (params.use_iub_filter && ub0 < topk.Bottom() - kScoreEps) {
-          pruned[id] = 1;
+          table.Prune(id);
           ++result.stats.iub_filtered;
           continue;
         }
-        it = states.emplace(id, State{}).first;
-        if (params.use_iub_filter) buckets.Insert(id, rows_total, 0.0);
+        c = table.Admit(id, rows_total);
+        if (params.use_iub_filter) buckets.Insert(c, rows_total, 0.0);
       }
-      State& state = it->second;
-      const uint32_t m_old = rows_total - static_cast<uint32_t>(state.rows.size());
-      const Score score_old = state.score;
-      if (state.AddRow(tuple->query_pos, s)) {
+      if (table.AddRow(c, tuple->query_pos, s)) {
+        const CandidateRecord& state = table.record(c);
         if (params.use_iub_filter) {
-          buckets.Move(id, m_old, score_old,
-                       rows_total - static_cast<uint32_t>(state.rows.size()),
-                       state.score);
+          buckets.Move(c, state.remaining(), state.row_sum);
           ++result.stats.bucket_moves;
         }
         // The accumulated score is itself a lower bound on the final score,
         // so the running top-k threshold may rise immediately.
-        topk.Offer(id, state.score);
+        topk.Offer(id, state.row_sum);
       }
     }
   }
@@ -112,8 +95,9 @@ SearchResult ManyToOneSearcher::Search(std::span<const TokenId> query,
     result.topk.push_back({id, score, /*exact=*/true});
   }
   result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
-  result.stats.memory.AddPeak("many_to_one.states",
-                              states.size() * sizeof(State));
+  result.stats.memory.AddPeak(
+      "many_to_one.states",
+      table.MemoryUsageBytes() + buckets.MemoryUsageBytes());
   return result;
 }
 

@@ -13,7 +13,7 @@
 //   * no bipartite matching — the exact score is computable in O(E) from
 //     the α-surviving edges;
 //   * the Koios refinement machinery computes it *incrementally*: the
-//     retained-row-maxima bound of the 1:1 engine (CandidateState::AddRow
+//     retained-row-maxima bound of the 1:1 engine (CandidateTable::AddRow
 //     with capacity |Q|) is exactly this measure once the stream is
 //     exhausted, so the "upper bound" converges to the true score and no
 //     post-processing phase is needed at all;

@@ -1,7 +1,7 @@
 #include "koios/core/normalized_search.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "koios/core/candidate_state.h"
@@ -38,88 +38,78 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
   EdgeCache cache(&stream);
 
   // ---- refinement with per-candidate normalized bounds --------------------
-  std::unordered_map<SetId, CandidateState> candidates;
-  std::vector<uint8_t> pruned(sets_->size(), 0);
+  CandidateTable table(sets_, query.size());
   util::TopKList<SetId> llb(params.k);  // normalized lower bounds
 
-  auto cap_of = [&](const CandidateState& state) {
-    return static_cast<Score>(
-        std::min<size_t>(query.size(), state.set_size()));
+  // min(|Q|, |C|), the normalizer.
+  auto cap_of = [](const CandidateRecord& r) {
+    return static_cast<Score>(r.capacity);
   };
 
   for (const sim::StreamTuple& tuple : cache.tuples()) {
     const Score s = tuple.sim;
     const Score theta = llb.Bottom();
     for (SetId id : inverted_.Postings(tuple.token)) {
-      if (pruned[id]) continue;
-      auto it = candidates.find(id);
-      if (it == candidates.end()) {
+      uint32_t c = table.slot(id);
+      if (c == CandidateTable::kPruned) continue;
+      if (c == CandidateTable::kUnseen) {
         ++result.stats.candidates;
-        CandidateState state(id, static_cast<uint32_t>(sets_->SetSize(id)),
-                             static_cast<uint32_t>(query.size()));
         // Arrival bound: UB = cap * s, so NSO <= s regardless of cap.
         if (params.use_iub_filter && s < theta - kScoreEps) {
-          pruned[id] = 1;
+          table.Prune(id);
           ++result.stats.iub_filtered;
           continue;
         }
-        it = candidates.emplace(id, state).first;
+        c = table.Admit(id, static_cast<uint32_t>(sets_->SetSize(id)));
       }
-      CandidateState& state = it->second;
-      state.AddRow(tuple.query_pos, s);
-      if (state.EdgeValid(tuple.query_pos, tuple.token)) {
-        state.AddMatch(tuple.query_pos, tuple.token, s);
-        llb.Offer(id, state.partial_score() / cap_of(state));
+      const CandidateRecord& state = table.record(c);
+      table.AddRow(c, tuple.query_pos, s);
+      if (table.Match(c, tuple.query_pos, tuple.token, s)) {
+        llb.Offer(id, state.partial_score / cap_of(state));
       }
       // Per-candidate normalized upper bound (no shared bucket cutoff).
       if (params.use_iub_filter &&
           state.UpperBound(s) / cap_of(state) < llb.Bottom() - kScoreEps) {
-        pruned[id] = 1;
-        candidates.erase(it);
+        table.Prune(id);
         ++result.stats.iub_filtered;
       }
     }
     ++result.stats.stream_tuples;
   }
-  // Final sweep: slack term vanishes after exhaustion.
-  for (auto it = candidates.begin(); it != candidates.end();) {
-    if (params.use_iub_filter &&
-        it->second.FinalUpperBound() / cap_of(it->second) <
-            llb.Bottom() - kScoreEps) {
-      pruned[it->second.set()] = 1;
+
+  // Final sweep (slack term vanishes after exhaustion), then the
+  // verification order: normalized upper bounds, descending.
+  struct Item {
+    Score nub;  // normalized upper bound
+    SetId id;
+    Score cap;
+  };
+  std::vector<Item> order;
+  table.ForEachAlive([&](const CandidateRecord& state) {
+    const Score nub = state.row_sum / cap_of(state);
+    if (params.use_iub_filter && nub < llb.Bottom() - kScoreEps) {
+      table.Prune(state.set);
       ++result.stats.iub_filtered;
-      it = candidates.erase(it);
-    } else {
-      ++it;
+      return;
     }
-  }
-  result.stats.postprocess_sets += candidates.size();
+    order.push_back({nub, state.set, cap_of(state)});
+  });
+  result.stats.postprocess_sets += order.size();
   result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
 
   // ---- verification: window over normalized upper bounds ------------------
   timer.Restart();
-  struct Item {
-    Score nub;     // normalized upper bound (exact after verification)
-    Score cap;
-    bool exact = false;
-  };
-  std::vector<std::pair<Score, SetId>> order;  // (nub, id) descending
-  std::unordered_map<SetId, Item> items;
-  for (const auto& [id, state] : candidates) {
-    const Score cap = cap_of(state);
-    Item item{state.FinalUpperBound() / cap, cap, false};
-    items.emplace(id, item);
-    order.emplace_back(item.nub, id);
-  }
-  std::sort(order.begin(), order.end(), std::greater<>());
+  std::sort(order.begin(), order.end(), [](const Item& a, const Item& b) {
+    return std::tie(a.nub, a.id) > std::tie(b.nub, b.id);
+  });
 
   // Verify in descending bound order until the k-th best verified score
   // dominates every remaining bound.
   util::TopKList<SetId> topk(params.k);
-  size_t verified = 0;
-  for (const auto& [nub, id] : order) {
-    if (topk.Full() && nub < topk.Bottom() - kScoreEps) break;  // dominated
-    Item& item = items[id];
+  for (const Item& item : order) {
+    // Dominated: nothing left can reach the k-th verified score.
+    if (topk.Full() && item.nub < topk.Bottom() - kScoreEps) break;
+    const SetId id = item.id;
     std::vector<uint32_t> rows, cols;
     const matching::WeightMatrix m =
         cache.BuildMatrix(sets_->Tokens(id), &rows, &cols);
@@ -129,17 +119,14 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
             : -1.0;
     const matching::MatchResult match =
         matching::HungarianMatcher::Solve(m, prune_threshold);
-    ++verified;
     if (match.early_terminated) {
       ++result.stats.em_early_terminated;
       continue;
     }
     ++result.stats.em_computed;
     const Score nso = match.score / item.cap;
-    item.exact = true;
     if (nso > 0.0) topk.Offer(id, nso);
   }
-  (void)verified;
   result.stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
 
   for (const auto& [id, score] : topk.Descending()) {

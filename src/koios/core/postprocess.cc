@@ -98,13 +98,13 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   std::unordered_map<SetId, Item> items;
   std::set<std::pair<Score, SetId>, ByUbDesc> alive;  // (ub, set), desc
   items.reserve(refinement.survivors.size());
-  for (const CandidateState& state : refinement.survivors) {
+  for (const CandidateRecord& state : refinement.survivors) {
     Item item;
-    item.set = state.set();
-    item.lb = state.partial_score();
+    item.set = state.set;
+    item.lb = state.partial_score;
     // Slack ends where the stream did: 0 after a drain to α (no α-edge
-    // left, FinalUpperBound), the stop similarity when the θlb feedback
-    // loop ended the stream early.
+    // left), the stop similarity when the θlb feedback loop ended the
+    // stream early.
     item.ub = state.UpperBound(refinement.ub_slack);
     items.emplace(item.set, item);
     alive.insert({item.ub, item.set});

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "koios/core/postprocess.h"
+#include "koios/core/bucket_index.h"
 
 namespace koios::core {
 
@@ -21,9 +21,12 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   RefinementOutput out;
   out.llb = util::TopKList<SetId>(params_.k);
 
-  std::vector<SetStatus> status(sets_->size(), SetStatus::kUnseen);
-  std::unordered_map<SetId, CandidateState> candidates;
+  // The bucket filter keeps the live candidates in its heaps; every other
+  // configuration (naive iUB ablation, no iUB) keeps them in `live`.
+  const bool bucketed = params_.use_iub_filter && params_.use_bucket_index;
+  CandidateTable table(sets_, query_size_);
   BucketIndex buckets;
+  std::vector<uint32_t> live;
 
   auto current_theta = [&]() -> Score {
     const Score local = out.llb.Bottom();
@@ -33,10 +36,51 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   Score theta_lb = current_theta();
   Score last_sim = 1.0;
 
-  auto prune_candidate = [&](SetId id) {
-    status[id] = SetStatus::kPruned;
-    candidates.erase(id);
+  // Refinement's footprint, at its largest: the arena just before each
+  // compaction and at the end.
+  size_t arena_peak = 0;
+  auto note_arena = [&] {
+    arena_peak = std::max(arena_peak, table.MemoryUsageBytes() +
+                                          buckets.MemoryUsageBytes() +
+                                          live.capacity() * sizeof(uint32_t));
+  };
+  // Once pruned candidates outnumber the live ones, copy the live ones
+  // into fresh arrays and renumber them in the buckets: the stream cache
+  // keeps growing meanwhile, so holding the dead would raise the query's
+  // peak memory. Each compaction copies at most twice the records pruned
+  // since the last one.
+  constexpr size_t kMinCompaction = 256;
+  std::vector<uint32_t> renamed;
+  auto maybe_compact = [&] {
+    const size_t live_count = bucketed ? buckets.size() : live.size();
+    const size_t dead = table.size() - live_count;
+    if (dead < kMinCompaction || dead < live_count) return;
+    note_arena();
+    renamed.assign(table.size(), CandidateTable::kPruned);
+    table.Compact([&](uint32_t from, uint32_t to) { renamed[from] = to; });
+    if (bucketed) {
+      buckets.Renumber(renamed);
+    } else {
+      for (uint32_t& c : live) c = renamed[c];
+    }
+  };
+
+  auto prune_candidate = [&](uint32_t c) {
+    table.Prune(table.record(c).set);
     ++stats->iub_filtered;
+  };
+  // Filters every live candidate by UpperBound(s) (the bucket index's job
+  // when it is on).
+  auto prune_below = [&](Score s) {
+    if (bucketed) {
+      buckets.Prune(s, theta_lb, prune_candidate);
+      return;
+    }
+    std::erase_if(live, [&](uint32_t c) {
+      if (table.record(c).UpperBound(s) >= theta_lb - kScoreEps) return false;
+      prune_candidate(c);
+      return true;
+    });
   };
 
   // Consumer-side stop (feedback only, so the drain-to-α ablation replays
@@ -88,12 +132,12 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     next_stop_check = stats->stream_tuples + kStopCheckCadence;
     const size_t budget = survivor_budget();
     size_t survivors;
-    if (params_.use_iub_filter && params_.use_bucket_index) {
+    if (bucketed) {
       survivors = buckets.CountSurvivors(s, theta_lb, budget);
     } else {
       survivors = 0;
-      for (const auto& [id, state] : candidates) {
-        if (state.UpperBound(s) >= theta_lb - kScoreEps) ++survivors;
+      for (uint32_t c : live) {
+        if (table.record(c).UpperBound(s) >= theta_lb - kScoreEps) ++survivors;
         if (survivors > budget) break;
       }
     }
@@ -110,74 +154,66 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     last_sim = s;
 
     // Bucketized iUB filter: the arrival of similarity s tightens every
-    // candidate's upper bound to S_i + m_i * s; scan each bucket's
-    // ascending-S_i prefix (§V). Without the bucket index (ablation), each
+    // candidate's upper bound to S_i + m_i * s; pop each bucket's smallest
+    // partial scores (§V). Without the bucket index (ablation), each
     // candidate is checked individually.
     if (params_.use_iub_filter) {
-      if (params_.use_bucket_index) {
-        buckets.Prune(s, theta_lb, prune_candidate);
-      } else {
-        for (auto it = candidates.begin(); it != candidates.end();) {
-          if (it->second.UpperBound(s) < theta_lb - kScoreEps) {
-            status[it->first] = SetStatus::kPruned;
-            ++stats->iub_filtered;
-            it = candidates.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
+      prune_below(s);
+      maybe_compact();
     }
 
     // Probe the inverted index and update the sets containing this token.
     for (SetId id : inverted_->Postings(tuple.token)) {
-      if (status[id] == SetStatus::kPruned) continue;
+      uint32_t c = table.slot(id);
+      if (c == CandidateTable::kPruned) continue;
 
-      auto it = candidates.find(id);
-      if (it == candidates.end()) {
+      if (c == CandidateTable::kUnseen) {
         // First sighting: s is this set's maximum element similarity to
         // any query element, so UB(C) = min(|Q|, |C|) * s (Lemma 2).
         ++stats->candidates;
-        CandidateState state(id, static_cast<uint32_t>(sets_->SetSize(id)),
-                             static_cast<uint32_t>(query_size_));
+        const uint32_t set_size = static_cast<uint32_t>(sets_->SetSize(id));
         if (params_.use_iub_filter &&
-            state.UpperBound(s) < theta_lb - kScoreEps) {
-          status[id] = SetStatus::kPruned;
+            static_cast<Score>(std::min<size_t>(set_size, query_size_)) * s <
+                theta_lb - kScoreEps) {
+          table.Prune(id);
           ++stats->iub_filtered;
           continue;
         }
-        status[id] = SetStatus::kCandidate;
-        it = candidates.emplace(id, state).first;
-        if (params_.use_iub_filter && params_.use_bucket_index) {
-          buckets.Insert(id, state.remaining(), state.row_sum());
+        c = table.Admit(id, set_size);
+        // The first row is retained before the candidate enters its
+        // bucket, so the index never holds the momentary (capacity, 0)
+        // entry; the retention still counts as the bucket move it is.
+        const bool retained = table.AddRow(c, tuple.query_pos, s);
+        if (bucketed) {
+          const CandidateRecord& r = table.record(c);
+          buckets.Insert(c, r.remaining(), r.row_sum);
+          stats->bucket_moves += retained;
+        } else {
+          live.push_back(c);
         }
-      }
-
-      CandidateState& state = it->second;
-
-      // iUB row update: retain this row's maximum if the row is new and
-      // capacity remains (see CandidateState's class comment for the sound
-      // bound replacing the paper's Lemma 6).
-      if (params_.use_iub_filter && params_.use_bucket_index) {
-        const uint32_t m_old = state.remaining();
-        const Score r_old = state.row_sum();
-        if (state.AddRow(tuple.query_pos, s)) {
-          buckets.Move(id, m_old, r_old, state.remaining(), state.row_sum());
-          ++stats->bucket_moves;
-        }
-      } else {
-        state.AddRow(tuple.query_pos, s);
+      } else if (table.AddRow(c, tuple.query_pos, s) && bucketed) {
+        // iUB row update: retain this row's maximum if the row is new and
+        // capacity remains (see CandidateRecord's comment for the sound
+        // bound replacing the paper's Lemma 6).
+        const CandidateRecord& r = table.record(c);
+        buckets.Move(c, r.remaining(), r.row_sum);
+        ++stats->bucket_moves;
       }
 
       // Partial greedy matching update (iLB, Lemma 5): accept the edge iff
       // both endpoints are unmatched. Stream order makes this the true
       // greedy matching over the edges seen so far.
-      if (state.EdgeValid(tuple.query_pos, tuple.token)) {
-        state.AddMatch(tuple.query_pos, tuple.token, s);
+      if (table.Match(c, tuple.query_pos, tuple.token, s)) {
         // LB grew; the running top-k list and θlb may improve (Lemma 4).
-        out.llb.Offer(id, state.partial_score());
-        if (global_theta != nullptr && out.llb.Full()) {
-          global_theta->Publish(out.llb.Bottom());
+        // Partial scores only grow, so a listed set's new score exceeds
+        // the list's bottom: a score below a full list's bottom belongs to
+        // an unlisted set and would be turned away.
+        const Score lb = table.record(c).partial_score;
+        if (!out.llb.Full() || lb >= out.llb.Bottom()) {
+          out.llb.Offer(id, lb);
+          if (global_theta != nullptr && out.llb.Full()) {
+            global_theta->Publish(out.llb.Bottom());
+          }
         }
         theta_lb = current_theta();
       }
@@ -237,37 +273,19 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   }
 
   // Final sweep after the stream ends: the slack term drops to ub_slack —
-  // 0 at exhaustion (a row without a retained maximum has no α-edge left,
-  // FinalUpperBound), the stop similarity when the feedback loop ended the
-  // stream early. For the bucket filter this is exactly a prune pass with
-  // sim = ub_slack.
-  if (params_.use_iub_filter) {
-    if (params_.use_bucket_index) {
-      buckets.Prune(out.ub_slack, theta_lb, prune_candidate);
-    } else {
-      for (auto it = candidates.begin(); it != candidates.end();) {
-        if (it->second.UpperBound(out.ub_slack) < theta_lb - kScoreEps) {
-          status[it->first] = SetStatus::kPruned;
-          ++stats->iub_filtered;
-          it = candidates.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
+  // 0 at exhaustion (a row without a retained maximum has no α-edge left),
+  // the stop similarity when the feedback loop ended the stream early. For
+  // the bucket filter this is exactly a prune pass with sim = ub_slack.
+  if (params_.use_iub_filter) prune_below(out.ub_slack);
 
-  out.survivors.reserve(candidates.size());
-  size_t candidate_bytes = 0;
-  for (auto& [id, state] : candidates) {
-    candidate_bytes += state.MemoryUsageBytes();
-    out.survivors.push_back(std::move(state));
-  }
+  table.ForEachAlive([&](const CandidateRecord& r) {
+    out.survivors.push_back(r);
+  });
   out.last_sim = last_sim;
   stats->postprocess_sets += out.survivors.size();
-  stats->memory.AddPeak("refinement.candidates", candidate_bytes);
-  stats->memory.AddPeak("refinement.buckets", buckets.MemoryUsageBytes());
-  stats->memory.AddPeak("refinement.status", status.capacity());
+  note_arena();
+  stats->memory.AddPeak("refinement.candidates", arena_peak);
+  stats->memory.AddPeak("refinement.status", table.SlotBytes());
   stats->memory.AddPeak("refinement.llb", out.llb.MemoryUsageBytes());
   return out;
 }

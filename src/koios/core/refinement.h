@@ -5,10 +5,8 @@
 #ifndef KOIOS_CORE_REFINEMENT_H_
 #define KOIOS_CORE_REFINEMENT_H_
 
-#include <unordered_map>
 #include <vector>
 
-#include "koios/core/bucket_index.h"
 #include "koios/core/candidate_state.h"
 #include "koios/core/edge_cache.h"
 #include "koios/core/search_types.h"
@@ -20,17 +18,18 @@ namespace koios::core {
 
 struct RefinementOutput {
   /// Candidates that survived all refinement filters (order unspecified).
-  std::vector<CandidateState> survivors;
+  /// Post-processing reads only set, partial_score and UpperBound().
+  std::vector<CandidateRecord> survivors;
   /// Running top-k lower-bound list; its Bottom() is θlb.
   util::TopKList<SetId> llb{1};
   /// Last (smallest) similarity this consumer processed (diagnostic).
   Score last_sim = 0.0;
   /// Sound upper bound on the similarity of every α-edge this consumer did
   /// NOT process: 0 when the stream drained to α (the seed behaviour —
-  /// survivors' slack term vanishes, CandidateState::FinalUpperBound), the
-  /// stop similarity when the θlb feedback loop ended the stream early.
-  /// Post-processing must use CandidateState::UpperBound(ub_slack) as the
-  /// survivors' final upper bound.
+  /// survivors' slack term vanishes), the stop similarity when the θlb
+  /// feedback loop ended the stream early. Post-processing must use
+  /// CandidateRecord::UpperBound(ub_slack) as the survivors' final upper
+  /// bound.
   Score ub_slack = 0.0;
 };
 
@@ -84,8 +83,6 @@ class RefinementPhase {
                        EdgeCache::ConsumerGuard* consumer = nullptr);
 
  private:
-  enum class SetStatus : uint8_t { kUnseen = 0, kCandidate = 1, kPruned = 2 };
-
   const index::SetCollection* sets_;
   const index::InvertedIndex* inverted_;
   size_t query_size_;

@@ -1,7 +1,6 @@
 #include "koios/core/threshold_search.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "koios/core/bucket_index.h"
 #include "koios/core/candidate_state.h"
@@ -32,13 +31,11 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
 
   // ---- refinement with the fixed threshold θ -----------------------------
   const Score theta = params.theta;
-  std::unordered_map<SetId, CandidateState> candidates;
-  std::vector<uint8_t> pruned(sets_->size(), 0);
+  CandidateTable table(sets_, query.size());
   BucketIndex buckets;
 
-  auto prune = [&](SetId id) {
-    pruned[id] = 1;
-    candidates.erase(id);
+  auto prune = [&](uint32_t c) {
+    table.Prune(table.record(c).set);
     ++stats->iub_filtered;
   };
 
@@ -46,50 +43,46 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
     const Score s = tuple.sim;
     buckets.Prune(s, theta, prune);
     for (SetId id : inverted_.Postings(tuple.token)) {
-      if (pruned[id]) continue;
-      auto it = candidates.find(id);
-      if (it == candidates.end()) {
+      uint32_t c = table.slot(id);
+      if (c == CandidateTable::kPruned) continue;
+      if (c == CandidateTable::kUnseen) {
         ++stats->candidates;
-        CandidateState state(id, static_cast<uint32_t>(sets_->SetSize(id)),
-                             static_cast<uint32_t>(query.size()));
-        if (state.UpperBound(s) < theta - kScoreEps) {
-          pruned[id] = 1;
+        const uint32_t set_size = static_cast<uint32_t>(sets_->SetSize(id));
+        if (static_cast<Score>(std::min<size_t>(set_size, query.size())) * s <
+            theta - kScoreEps) {
+          table.Prune(id);
           ++stats->iub_filtered;
           continue;
         }
-        it = candidates.emplace(id, state).first;
-        buckets.Insert(id, state.remaining(), state.row_sum());
+        c = table.Admit(id, set_size);
+        buckets.Insert(c, table.record(c).remaining(), table.record(c).row_sum);
       }
-      CandidateState& state = it->second;
-      const uint32_t m_old = state.remaining();
-      const Score r_old = state.row_sum();
-      if (state.AddRow(tuple.query_pos, s)) {
-        buckets.Move(id, m_old, r_old, state.remaining(), state.row_sum());
+      if (table.AddRow(c, tuple.query_pos, s)) {
+        buckets.Move(c, table.record(c).remaining(), table.record(c).row_sum);
         ++stats->bucket_moves;
       }
-      if (state.EdgeValid(tuple.query_pos, tuple.token)) {
-        state.AddMatch(tuple.query_pos, tuple.token, s);
-      }
+      table.Match(c, tuple.query_pos, tuple.token, s);
     }
     ++stats->stream_tuples;
   }
-  buckets.Prune(0.0, theta, prune);  // FinalUpperBound sweep
+  buckets.Prune(0.0, theta, prune);  // stream exhausted: the slack term is 0
   stats->timers.Accumulate("refinement", timer.ElapsedSeconds());
 
   // ---- verification -------------------------------------------------------
   timer.Restart();
-  stats->postprocess_sets += candidates.size();
-  for (const auto& [id, state] : candidates) {
+  stats->postprocess_sets += buckets.size();
+  table.ForEachAlive([&](const CandidateRecord& state) {
+    const SetId id = state.set;
     ResultEntry entry;
     entry.set = id;
     if (params.use_lb_admission &&
-        state.partial_score() >= theta - kScoreEps && !params.verify_scores) {
+        state.partial_score >= theta - kScoreEps && !params.verify_scores) {
       // Greedy lower bound certifies membership; skip the matching.
-      entry.score = state.partial_score();
+      entry.score = state.partial_score;
       entry.exact = false;
       ++stats->no_em_skipped;
       result.push_back(entry);
-      continue;
+      return;
     }
     std::vector<uint32_t> rows, cols;
     const matching::WeightMatrix m =
@@ -100,7 +93,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
         matching::HungarianMatcher::Solve(m, prune_threshold);
     if (match.early_terminated) {
       ++stats->em_early_terminated;
-      continue;  // certified SO < theta
+      return;  // certified SO < theta
     }
     ++stats->em_computed;
     if (match.score >= theta - kScoreEps) {
@@ -108,7 +101,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
       entry.exact = true;
       result.push_back(entry);
     }
-  }
+  });
   stats->timers.Accumulate("postprocess", timer.ElapsedSeconds());
 
   std::sort(result.begin(), result.end(),

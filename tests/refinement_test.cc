@@ -56,7 +56,7 @@ TEST(RefinementTest, SurvivorsContainEveryTrueTopKSet) {
       testing::OracleRanking(w.corpus.sets, query, *w.sim, alpha);
   const Score theta_star = testing::OracleKthScore(oracle, params.k);
   std::set<SetId> survivor_ids;
-  for (const auto& s : out.survivors) survivor_ids.insert(s.set());
+  for (const auto& s : out.survivors) survivor_ids.insert(s.set);
   // No set scoring strictly above θ*k may be refinement-pruned; ties may
   // legitimately go either way.
   for (const auto& [id, so] : oracle) {
@@ -79,10 +79,10 @@ TEST(RefinementTest, BoundsBracketTrueScore) {
   const RefinementOutput out = harness.Run(params, &stats);
   for (const auto& state : out.survivors) {
     const Score so = matching::SemanticOverlap(
-        query, w.corpus.sets.Tokens(state.set()), *w.sim, alpha);
-    EXPECT_LE(state.partial_score(), so + 1e-9) << "LB above SO";
+        query, w.corpus.sets.Tokens(state.set), *w.sim, alpha);
+    EXPECT_LE(state.partial_score, so + 1e-9) << "LB above SO";
     EXPECT_GE(state.UpperBound(out.last_sim) + 1e-9, so) << "UB below SO";
-    EXPECT_GE(state.partial_score() + 1e-9, so / 2.0) << "greedy guarantee";
+    EXPECT_GE(state.partial_score + 1e-9, so / 2.0) << "greedy guarantee";
   }
 }
 
@@ -101,9 +101,9 @@ TEST(RefinementTest, LbInitializedWithVanillaOverlap) {
   const RefinementOutput out = harness.Run(params, &stats);
   for (const auto& state : out.survivors) {
     const size_t vanilla =
-        w.corpus.sets.VanillaOverlap(sorted_query, state.set());
-    EXPECT_GE(state.partial_score() + 1e-9, static_cast<Score>(vanilla))
-        << "set " << state.set();
+        w.corpus.sets.VanillaOverlap(sorted_query, state.set);
+    EXPECT_GE(state.partial_score + 1e-9, static_cast<Score>(vanilla))
+        << "set " << state.set;
   }
 }
 
@@ -126,22 +126,41 @@ TEST(RefinementTest, FiltersOnlyReduceSurvivors) {
 
 TEST(RefinementTest, BucketAndNaiveIubAgreeOnSurvivorSets) {
   // The bucketized filter is an *implementation* of the naive per-tuple
-  // scan; both must prune exactly the same sets.
-  auto w = testing::MakeRandomWorkload(120, 500, 5, 20, 505);
-  const auto query = QueryOf(w, 9);
-  RefinementHarness harness(&w, query, 0.78);
-  SearchParams bucketed, naive;
-  bucketed.k = naive.k = 8;
-  bucketed.alpha = naive.alpha = 0.78;
-  naive.use_bucket_index = false;
-  SearchStats s1, s2;
-  const auto a = harness.Run(bucketed, &s1);
-  const auto b = harness.Run(naive, &s2);
-  std::set<SetId> sa, sb;
-  for (const auto& s : a.survivors) sa.insert(s.set());
-  for (const auto& s : b.survivors) sb.insert(s.set());
-  EXPECT_EQ(sa, sb);
-  EXPECT_EQ(s1.iub_filtered, s2.iub_filtered);
+  // scan; both must prune exactly the same sets, on a query within one bit
+  // word and on one over three (|Q| = 146), whose refinement prunes enough
+  // admitted candidates mid-stream to compact its arena.
+  auto small = testing::MakeRandomWorkload(120, 500, 5, 20, 505);
+  auto large = testing::MakeRandomWorkload(800, 1500, 5, 150, 519);
+  struct Case {
+    testing::RandomWorkload* w;
+    std::vector<TokenId> query;
+    Score alpha;
+    size_t k;
+  };
+  const std::vector<Case> cases = {{&small, QueryOf(small, 9), 0.78, 8},
+                                   {&large, QueryOf(large, 0), 0.8, 5}};
+  ASSERT_GT(cases[1].query.size(), 128u);
+  for (const Case& c : cases) {
+    RefinementHarness harness(c.w, c.query, c.alpha);
+    SearchParams bucketed, naive;
+    bucketed.k = naive.k = c.k;
+    bucketed.alpha = naive.alpha = c.alpha;
+    naive.use_bucket_index = false;
+    SearchStats s1, s2;
+    const auto a = harness.Run(bucketed, &s1);
+    const auto b = harness.Run(naive, &s2);
+    std::set<SetId> sa, sb;
+    for (const auto& s : a.survivors) sa.insert(s.set);
+    for (const auto& s : b.survivors) sb.insert(s.set);
+    EXPECT_EQ(sa, sb) << "|Q| = " << c.query.size();
+    EXPECT_EQ(s1.candidates, s2.candidates);
+    EXPECT_EQ(s1.iub_filtered, s2.iub_filtered);
+    EXPECT_EQ(s1.stream_tuples, s2.stream_tuples);
+    EXPECT_EQ(s1.postprocess_sets, s2.postprocess_sets);
+    EXPECT_EQ(a.llb.Bottom(), b.llb.Bottom());
+    EXPECT_GT(s1.bucket_moves, 0u);
+    EXPECT_EQ(s2.bucket_moves, 0u);
+  }
 }
 
 TEST(RefinementTest, ThetaLbNeverExceedsThetaStar) {
@@ -184,6 +203,103 @@ TEST(RefinementTest, StatsCountsAreConsistent) {
   EXPECT_EQ(stats.candidates, stats.iub_filtered + out.survivors.size());
   EXPECT_EQ(stats.stream_tuples, harness.cache.tuples().size());
   EXPECT_GT(stats.postprocess_sets, 0u);
+}
+
+TEST(RefinementTest, GoldenCountersForFixedSeed) {
+  // Changing refinement's data structures must not change its work: these
+  // counts must stay fixed for these inputs (query: set 0 of the corpus).
+  // The first query spans two bit words; the second spans three and
+  // compacts its arena mid-stream.
+  struct Golden {
+    size_t num_sets, vocab, max_size;
+    uint64_t seed;
+    Score alpha;
+    size_t k;
+    size_t query_size, candidates, iub_filtered, bucket_moves, stream_tuples,
+        postprocess_sets;
+  };
+  const Golden goldens[] = {
+      {400, 1500, 120, 513, 0.75, 5, 87, 400, 302, 12655, 585, 98},
+      {800, 1500, 150, 519, 0.8, 5, 146, 800, 561, 40901, 1393, 239},
+  };
+  for (const Golden& g : goldens) {
+    auto w = testing::MakeRandomWorkload(g.num_sets, g.vocab, 5, g.max_size,
+                                         g.seed);
+    const auto query = QueryOf(w, 0);
+    ASSERT_EQ(query.size(), g.query_size);
+    RefinementHarness harness(&w, query, g.alpha);
+    SearchParams params;
+    params.k = g.k;
+    params.alpha = g.alpha;
+    SearchStats stats;
+    const RefinementOutput out = harness.Run(params, &stats);
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    EXPECT_EQ(stats.candidates, g.candidates);
+    EXPECT_EQ(stats.iub_filtered, g.iub_filtered);
+    EXPECT_EQ(stats.bucket_moves, g.bucket_moves);
+    EXPECT_EQ(stats.stream_tuples, g.stream_tuples);
+    EXPECT_EQ(stats.postprocess_sets, g.postprocess_sets);
+    EXPECT_EQ(out.survivors.size(), g.postprocess_sets);
+  }
+}
+
+TEST(RefinementTest, SetPrunedAtFirstSightingIsNeverReadmitted) {
+  // k = 1 and a query that is itself a corpus set: its self matches (sim
+  // 1.0, streamed first) lift θlb to |Q|, so every set first sighted below
+  // sim 1.0 is pruned on arrival (UB = min(|Q|, |C|)·s < |Q|). Those sets
+  // keep showing up in later posting lists; each must be counted as a
+  // candidate once and never survive.
+  auto w = testing::MakeRandomWorkload(150, 400, 5, 30, 514);
+  const auto query = QueryOf(w, 3);
+  RefinementHarness harness(&w, query, 0.7);
+  SearchParams params;
+  params.k = 1;
+  params.alpha = 0.7;
+  SearchStats stats;
+  const RefinementOutput out = harness.Run(params, &stats);
+
+  std::vector<int> sightings(w.corpus.sets.size(), 0);
+  std::set<SetId> pruned_on_arrival;
+  for (const sim::StreamTuple& tuple : harness.cache.tuples()) {
+    for (SetId id : harness.inverted.Postings(tuple.token)) {
+      if (sightings[id]++ == 0 && tuple.sim < 1.0) pruned_on_arrival.insert(id);
+    }
+  }
+  size_t sighted = 0, seen_again = 0;
+  for (SetId id = 0; id < sightings.size(); ++id) {
+    sighted += sightings[id] > 0;
+    seen_again += pruned_on_arrival.count(id) > 0 && sightings[id] > 1;
+  }
+  ASSERT_GT(pruned_on_arrival.size(), 0u);
+  ASSERT_GT(seen_again, 0u);
+  EXPECT_EQ(stats.candidates, sighted);
+  EXPECT_GE(stats.iub_filtered, pruned_on_arrival.size());
+  EXPECT_EQ(stats.candidates, stats.iub_filtered + out.survivors.size());
+  for (const auto& state : out.survivors) {
+    EXPECT_EQ(pruned_on_arrival.count(state.set), 0u) << "set " << state.set;
+  }
+}
+
+TEST(RefinementTest, MemoryFigureCoversEveryAdmittedCandidate) {
+  // Without the iUB filter every sighted set is admitted and none is
+  // pruned, so the arena holds one record per candidate; with it, pruned
+  // candidates' records still count (nothing is freed mid-query).
+  auto w = testing::MakeRandomWorkload(100, 500, 5, 20, 508);
+  const auto query = QueryOf(w, 1);
+  RefinementHarness harness(&w, query, 0.8);
+  SearchParams unfiltered, filtered;
+  unfiltered.k = filtered.k = 10;
+  unfiltered.alpha = filtered.alpha = 0.8;
+  unfiltered.use_iub_filter = false;
+  SearchStats s1, s2;
+  harness.Run(unfiltered, &s1);
+  const RefinementOutput out = harness.Run(filtered, &s2);
+  ASSERT_GT(s1.candidates, 0u);
+  EXPECT_GE(s1.memory.Get("refinement.candidates"),
+            s1.candidates * sizeof(CandidateRecord));
+  ASSERT_GT(s2.iub_filtered, 0u);
+  EXPECT_GE(s2.memory.Get("refinement.candidates"),
+            (out.survivors.size() + 1) * sizeof(CandidateRecord));
 }
 
 }  // namespace
