@@ -114,8 +114,7 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
       alive.size() * (sizeof(std::pair<Score, SetId>) + 4 * sizeof(void*)));
   stats->memory.AddPeak("postprocess.items", items.size() * sizeof(Item));
 
-  const size_t batch_size =
-      (pool_ != nullptr && params_.num_threads > 1) ? params_.num_threads : 1;
+  const size_t batch_size = pool_ != nullptr ? pool_->num_threads() : 1;
 
   auto prune_below_theta = [&] {
     const Score theta_lb = ThetaLb(llb.Bottom());

@@ -21,9 +21,9 @@ class PostProcessor {
   /// `ctx` may be null (phase-level tests): its GlobalThreshold is the
   /// cross-partition θlb, its deadline/cancellation is polled between
   /// exact-matching batches (throwing SearchAborted). `pool` may be null;
-  /// with a pool, exact matchings run in parallel batches of
-  /// params.num_threads as in the paper ("all sets in Lub are queued and
-  /// evaluated in parallel in the background").
+  /// with a pool, exact matchings run in parallel batches as wide as the
+  /// pool as in the paper ("all sets in Lub are queued and evaluated in
+  /// parallel in the background").
   PostProcessor(const index::SetCollection* sets, const EdgeCache* cache,
                 const SearchParams& params, SearchContext* ctx,
                 util::ThreadPool* pool);

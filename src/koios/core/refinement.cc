@@ -15,8 +15,7 @@ RefinementPhase::RefinementPhase(const index::SetCollection* sets,
       params_(params) {}
 
 RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
-                                      SearchContext* ctx,
-                                      EdgeCache::ConsumerGuard* consumer) {
+                                      SearchContext* ctx) {
   GlobalThreshold* global_theta = ctx != nullptr ? &ctx->global_theta() : nullptr;
   RefinementOutput out;
   out.llb = util::TopKList<SetId>(params_.k);
@@ -222,8 +221,8 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   };
 
   if (cache->Materialized()) {
-    // Fully materialized (synchronous caches and later partitions of a
-    // serial partitioned search): replay in place.
+    // Sealed (a synchronously drained cache, or a later partition once
+    // production reached the stream's end): replay in place.
     for (const sim::StreamTuple& tuple : cache->tuples()) {
       if (should_stop(tuple.sim)) {
         out.ub_slack = tuple.sim;
@@ -233,20 +232,15 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
       process_tuple(tuple);
     }
   } else {
-    // Pipelined search: the producer is still materializing (or, inline,
-    // production happens inside NextTuples on this very thread); pull
-    // copies in chunks through the cache's incremental interface, blocking
-    // only when refinement outruns cursor construction.
-    std::vector<sim::StreamTuple> chunk(cache->PreferredConsumeChunk());
+    // Pipelined search: production happens inside NextTuples on this very
+    // thread; pull copies in chunks through the cache's incremental
+    // interface (later partitions replay the cached prefix the same way).
+    std::vector<sim::StreamTuple> chunk(EdgeCache::kConsumeChunk);
     size_t consumed = 0;
     while (!stopped_early) {
       const size_t n =
           cache->NextTuples(consumed, std::span<sim::StreamTuple>(chunk));
       if (n == 0) break;
-      // Report the hand-off before processing: a paced producer measures
-      // its lead from tuples DELIVERED here, so the lead budget absorbs
-      // the chunk being worked on.
-      if (consumer != nullptr) consumer->Advance(consumed + n);
       for (size_t i = 0; i < n; ++i) {
         if (should_stop(chunk[i].sim)) {
           out.ub_slack = chunk[i].sim;

@@ -72,15 +72,8 @@ class RefinementPhase {
   /// (ub_slack) and is declared to the context's StreamStopController so
   /// the producer can stop materializing once every partition has
   /// declared (no declarations happen without a context).
-  ///
-  /// `consumer` (nullable) is this partition's producer-pacing handle
-  /// (EdgeCache::ConsumerGuard): the pull loop reports its hand-off
-  /// position through it so a deferred producer can pace itself against
-  /// the slowest partition. The caller owns the guard (it must outlive
-  /// this call); legacy callers pass nothing and are never paced against.
   RefinementOutput Run(EdgeCache* cache, SearchStats* stats,
-                       SearchContext* ctx = nullptr,
-                       EdgeCache::ConsumerGuard* consumer = nullptr);
+                       SearchContext* ctx = nullptr);
 
  private:
   const index::SetCollection* sets_;

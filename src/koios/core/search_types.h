@@ -2,6 +2,7 @@
 #ifndef KOIOS_CORE_SEARCH_TYPES_H_
 #define KOIOS_CORE_SEARCH_TYPES_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -46,6 +47,7 @@ class GlobalThreshold {
 /// once EVERY consumer has declared one, and then only below the minimum —
 /// a consumer that never declares (it needs the full α-drain) keeps the
 /// producer running, which is what makes the stop exact for all consumers.
+/// Producer and consumers run on the searching thread.
 class StreamStopController {
  public:
   explicit StreamStopController(size_t num_consumers)
@@ -54,36 +56,29 @@ class StreamStopController {
   /// Consumer declaration: "I will never need a tuple with sim < s".
   /// Call at most once per consumer.
   void PublishConsumerStop(Score s) {
-    Score current = min_stop_.load(std::memory_order_relaxed);
-    while (s < current &&
-           !min_stop_.compare_exchange_weak(current, s,
-                                            std::memory_order_relaxed)) {
-    }
-    remaining_.fetch_sub(1, std::memory_order_release);
+    min_stop_ = std::min(min_stop_, s);
+    --remaining_;
   }
 
   /// Producer poll: the minimum declared stop once every consumer has
   /// declared one, 0 (= keep producing) before that.
-  Score ProducerStop() const {
-    if (remaining_.load(std::memory_order_acquire) > 0) return 0.0;
-    return min_stop_.load(std::memory_order_relaxed);
-  }
+  Score ProducerStop() const { return remaining_ > 0 ? 0.0 : min_stop_; }
 
   /// Rearms for a new search with `num_consumers` declarers.
   void Reset(size_t num_consumers) {
-    min_stop_.store(1.0, std::memory_order_relaxed);
-    remaining_.store(num_consumers, std::memory_order_release);
+    min_stop_ = 1.0;
+    remaining_ = num_consumers;
   }
 
  private:
-  std::atomic<size_t> remaining_;
-  std::atomic<Score> min_stop_{1.0};
+  size_t remaining_;
+  Score min_stop_ = 1.0;
 };
 
 /// Thrown by the search phases when a per-query deadline elapses or the
-/// caller cancels (see SearchContext). The search path is exception-safe
-/// (the EdgeCache is poison-sealed and in-flight partition tasks joined on
-/// unwind), so an aborted query leaves no shared state behind — the
+/// caller cancels (see SearchContext). Every piece of a search's mutable
+/// state lives on the searching thread's stack, so an aborted query
+/// leaves no shared state behind — the
 /// serve::QueryEngine catches this and turns it into a clean
 /// DeadlineExceeded rejection with no partial results.
 struct SearchAborted : public std::exception {
@@ -103,8 +98,7 @@ struct SearchAborted : public std::exception {
 ///    path is reentrant and a caller (the serve engine) can observe them;
 ///  * deadline / cancellation: phases poll Cancelled() at coarse cadences
 ///    (every few dozen stream tuples, every exact-matching batch) and
-///    throw SearchAborted, unwinding through the search's existing
-///    poison-safe shutdown machinery.
+///    throw SearchAborted, which unwinds the search.
 ///
 /// A SearchContext is single-use per Search call (the searcher rearms the
 /// members on entry); reuse across sequential searches is fine.
@@ -158,17 +152,6 @@ class SearchContext {
     stop_controller_.Reset(num_consumers);
   }
 
-  /// Trace handle for the sampled-query profiler (util::TraceRecorder):
-  /// KoiosSearcher::Search stashes the caller's ambient trace here so
-  /// phase work fanned onto pool threads (partition tasks, EM batches)
-  /// can adopt it and parent their spans correctly. Zero = not sampled.
-  void set_trace(uint64_t trace_id, uint64_t parent_span) {
-    trace_id_ = trace_id;
-    trace_parent_ = parent_span;
-  }
-  uint64_t trace_id() const { return trace_id_; }
-  uint64_t trace_parent() const { return trace_parent_; }
-
  private:
   GlobalThreshold global_theta_;
   GlobalThreshold* shared_theta_ = nullptr;
@@ -176,8 +159,6 @@ class SearchContext {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
-  uint64_t trace_id_ = 0;
-  uint64_t trace_parent_ = 0;
 };
 
 /// Per-query search parameters. Filter toggles exist for the ablation
@@ -185,9 +166,6 @@ class SearchContext {
 struct SearchParams {
   size_t k = 10;
   Score alpha = 0.8;
-  /// Worker threads for parallel exact matching during post-processing and
-  /// for parallel partition search.
-  size_t num_threads = 1;
 
   // --- ablation toggles -------------------------------------------------
   /// iUB-Filter with bucketized updates (refinement, §V).
@@ -209,15 +187,6 @@ struct SearchParams {
   /// the index exposes its SimilarityFunction (SimilarityIndex::similarity);
   /// off = the drain-to-α path, kept for the ablation benchmarks.
   bool use_stream_feedback = true;
-  /// Producer lead (in stream tuples) for OVERLAPPED feedback searches:
-  /// the producer thread stays within this many tuples of the slowest
-  /// consuming partition instead of free-running, so a slow consumer
-  /// still gets its stop similarity declared before the stream drains to
-  /// α (the production-race fix; serial/inline modes are naturally paced
-  /// and ignore this). 0 restores the free-running producer. Results are
-  /// identical either way — pacing changes only how far ahead production
-  /// runs, never what is produced.
-  size_t stream_producer_lead = 1024;
   /// Adaptive survivor budget for the feedback stop (ROADMAP follow-up).
   /// The stop's work-balance condition tolerates at most B survivors whose
   /// upper bounds the stop would freeze above θlb (each may cost one exact

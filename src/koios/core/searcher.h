@@ -1,6 +1,7 @@
 // KoiosSearcher — the public entry point: top-k semantic overlap search
 // over a set repository, with optional random partitioning searched under a
-// shared global θlb (paper §VI).
+// shared global θlb (paper §VI). A search runs on the calling thread;
+// parallelism across a query's parts is serve::ShardCoordinator's job.
 #ifndef KOIOS_CORE_SEARCHER_H_
 #define KOIOS_CORE_SEARCHER_H_
 
@@ -17,9 +18,9 @@
 namespace koios::core {
 
 struct SearcherOptions {
-  /// Random partitions of the repository; each is searched independently
-  /// (in parallel when SearchParams::num_threads > 1) and the per-partition
-  /// top-k lists are merged. 1 = unpartitioned.
+  /// Random partitions of the repository; each is searched in turn on the
+  /// calling thread under the shared θlb and the per-partition top-k lists
+  /// are merged. 1 = unpartitioned.
   size_t num_partitions = 1;
   uint64_t partition_seed = 7;
 };

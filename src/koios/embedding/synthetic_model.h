@@ -1,5 +1,5 @@
 // Synthetic embedding model replacing the paper's pre-trained FastText
-// vectors (DESIGN.md §2). The vocabulary is partitioned into *concept
+// vectors. The vocabulary is partitioned into *concept
 // clusters*: each cluster has a random unit centroid, and member tokens are
 // centroid + Gaussian noise, re-normalized. Within a cluster, cosine
 // similarities concentrate around a controllable level (tighter noise =>

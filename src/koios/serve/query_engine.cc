@@ -331,15 +331,10 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
 
 QueryEngine::Result QueryEngine::Execute(const ServingState& state,
                                          const std::vector<TokenId>& query,
-                                         core::SearchParams params,
+                                         const core::SearchParams& params,
                                          const Ticket& ticket,
                                          const CancelToken* cancel,
                                          const TraceTask& trace) {
-  // Engine policy: intra-query parallelism off (see the header comment) —
-  // the query runs single-threaded in inline-pipelined mode; concurrency
-  // comes from the other workers.
-  params.num_threads = 1;
-
   // Hop the submitter's trace onto this worker; the admission wait (from
   // Enqueue to pickup) is a span only measurable after the fact.
   util::TraceAdopt adopt(trace.trace_id, trace.parent_span);
@@ -397,12 +392,11 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
     MaybeLogSlowQuery(query, params, result.stats, elapsed, trace.trace_id);
     return result;
   } catch (const core::SearchAborted&) {
-    // Clean rejection: the phases unwound through the poison-safe shutdown
-    // machinery; nothing partial escapes. A fired token means the CALLER
-    // walked away (client disconnect) — kCancelled, no retry hint, there
-    // is nobody to retry. Otherwise the deadline elapsed; the retry hint
-    // is one EWMA service period — "come back when a typical query would
-    // have fit".
+    // Clean rejection: the phases unwound and nothing partial escapes. A
+    // fired token means the CALLER walked away (client disconnect) —
+    // kCancelled, no retry hint, there is nobody to retry. Otherwise the
+    // deadline elapsed; the retry hint is one EWMA service period — "come
+    // back when a typical query would have fit".
     if (cancel != nullptr && cancel->cancelled()) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.cancelled;
@@ -503,7 +497,7 @@ std::vector<QueryEngine::Result> QueryEngine::SearchMany(
   }
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  if (state->coordinator.sessions_supported() && !tokens.empty()) {
+  if (!tokens.empty()) {
     KOIOS_TRACE_SPAN_ARG("serve.prewarm", "tokens", tokens.size());
     std::unique_ptr<sim::SimilarityIndex> session = state->index->NewSession();
     session->set_thread_pool(&pool_);

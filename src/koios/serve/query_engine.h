@@ -44,12 +44,6 @@
 //    bit-identical to the N=1 engine; admission, deadlines, cancellation
 //    and swaps keep their exact semantics (the coordinator lives inside
 //    the ServingState, so a swap flips all shards atomically).
-//
-// Intra-query threading is intentionally OFF in engine execution
-// (params.num_threads is forced to 1): at serving concurrency the cores
-// are already saturated by distinct queries, and single-threaded inline
-// execution keeps per-query latency deterministic and avoids nested-pool
-// deadlocks (a pool task waiting on sub-tasks of the same pool).
 #ifndef KOIOS_SERVE_QUERY_ENGINE_H_
 #define KOIOS_SERVE_QUERY_ENGINE_H_
 
@@ -147,8 +141,8 @@ struct EngineCounters {
 /// Cooperative cancellation for a submitted query: the network edge holds
 /// the token and fires it when its client disconnects, so a query whose
 /// answer nobody will read stops burning a worker at the next deadline
-/// poll (the same coarse-cadence polls the deadline uses) and unwinds
-/// through the poison-safe machinery — no partial state, clean kCancelled.
+/// poll (the same coarse-cadence polls the deadline uses) and unwinds —
+/// no partial state, clean kCancelled.
 class CancelToken {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
@@ -165,9 +159,8 @@ class QueryEngine {
  public:
   using Result = util::StatusOr<core::SearchResult>;
 
-  /// Serves over caller-owned parts (both must outlive the engine). The
-  /// index must support NewSession() for true concurrency; without it the
-  /// engine still works but serializes query execution behind a mutex.
+  /// Serves over caller-owned parts (both must outlive the engine). Every
+  /// query probes through its own `index->NewSession()`.
   QueryEngine(const index::SetCollection* sets, sim::SimilarityIndex* index,
               const EngineOptions& options = {});
 
@@ -362,7 +355,7 @@ class QueryEngine {
   /// through the future — the wrapper in Enqueue still releases the
   /// admission slot.
   Result Execute(const ServingState& state, const std::vector<TokenId>& query,
-                 core::SearchParams params, const Ticket& ticket,
+                 const core::SearchParams& params, const Ticket& ticket,
                  const CancelToken* cancel, const TraceTask& trace);
   /// Emits the rate-limited slow-query report (span tree + stats).
   void MaybeLogSlowQuery(const std::vector<TokenId>& query,

@@ -56,10 +56,9 @@ class BatchedNeighborIndex::Session final : public SimilarityIndex {
     parent_->PrewarmShared(tokens, alpha, pool_);
   }
 
-  /// Sessions carry their own pool so a per-query pool attachment never
-  /// races another query's (the parent's pool_ is not touched).
+  /// Sessions carry their own pool so one session's pool attachment never
+  /// races another's (the parent's pool_ is not touched).
   void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
-  util::ThreadPool* thread_pool() const override { return pool_; }
 
   std::unique_ptr<SimilarityIndex> NewSession() override {
     return std::make_unique<Session>(parent_);

@@ -131,13 +131,10 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// Prewarm, and with the owning index's legacy interface.
   std::unique_ptr<SimilarityIndex> NewSession() override;
 
-  /// Swap the worker pool used by Prewarm (nullptr = serial). The searcher
-  /// attaches its per-query pool around TokenStream construction so cursor
+  /// Swap the worker pool used by Prewarm (nullptr = serial), so cursor
   /// builds fan out without the index owning threads. Sessions carry their
   /// own pool pointer, so this setting is only for the legacy interface.
   void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
-
-  util::ThreadPool* thread_pool() const override { return pool_; }
 
   CursorCacheStats cursor_cache_stats() const;
 

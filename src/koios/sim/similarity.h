@@ -162,10 +162,8 @@ class SimilarityIndex {
   /// synchronization — concurrent queries over the same vocabulary reuse
   /// each other's cursors — while NextNeighbor positions stay per-session.
   /// The session borrows the index (it must outlive the session) and
-  /// forwards similarity()/exact_neighbors(). Returns nullptr when the
-  /// backend has no concurrent probe support (callers must then serialize
-  /// whole searches themselves).
-  virtual std::unique_ptr<SimilarityIndex> NewSession() { return nullptr; }
+  /// forwards similarity()/exact_neighbors(). Never null.
+  virtual std::unique_ptr<SimilarityIndex> NewSession() = 0;
 
   /// Hint that `NextNeighbor(t, alpha)` is about to be called for every
   /// token in `tokens`. Implementations may build the cursors eagerly (and
@@ -177,14 +175,10 @@ class SimilarityIndex {
   }
 
   /// Lend the index a worker pool for Prewarm's fan-out (nullptr detaches).
-  /// The searcher attaches its per-query pool around stream construction
-  /// and restores the previous pool afterwards; indexes without internal
-  /// parallelism ignore it. The pool must outlive every Prewarm call made
-  /// while attached.
+  /// The serve engine attaches its pool to the session that prewarms a
+  /// query batch; indexes without internal parallelism ignore it. The pool
+  /// must outlive every Prewarm call made while attached.
   virtual void set_thread_pool(util::ThreadPool* pool) { (void)pool; }
-
-  /// The currently attached pool (nullptr when none / unsupported).
-  virtual util::ThreadPool* thread_pool() const { return nullptr; }
 
   virtual size_t MemoryUsageBytes() const { return 0; }
 };

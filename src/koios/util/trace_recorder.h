@@ -180,7 +180,7 @@ class TraceRecorder {
 };
 
 /// RAII adoption of a trace onto the current thread — the cross-thread
-/// hop (net loop -> engine worker -> partition task). Restores the
+/// hop (net loop -> engine worker -> shard task). Restores the
 /// previous ambient context on destruction. No-op when trace_id == 0.
 class TraceAdopt {
  public:

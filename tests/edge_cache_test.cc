@@ -1,7 +1,7 @@
 // Unit tests for the materialized stream / similarity cache.
 #include <gtest/gtest.h>
 
-#include <future>
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -10,7 +10,6 @@
 #include "koios/matching/hungarian.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/token_stream.h"
-#include "koios/util/thread_pool.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -107,48 +106,6 @@ TEST(EdgeCacheTest, MatrixScoreMatchesDirectOracle) {
   }
 }
 
-TEST(EdgeCacheTest, DeferredMaterializeFeedsConcurrentConsumers) {
-  // The overlapped-search shape: several consumers replay the stream
-  // through NextTuples while the producer is still materializing. Every
-  // consumer must observe the exact same sequence the finished cache
-  // reports via tuples().
-  auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 9005);
-  const auto qs = w.corpus.sets.Tokens(3);
-  std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.6,
-                          [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::Deferred{});
-
-  constexpr size_t kConsumers = 4;
-  util::ThreadPool pool(kConsumers);
-  std::vector<std::future<std::vector<sim::StreamTuple>>> futures;
-  for (size_t c = 0; c < kConsumers; ++c) {
-    futures.push_back(pool.Submit([&cache] {
-      std::vector<sim::StreamTuple> seen;
-      std::vector<sim::StreamTuple> buf(7);  // odd size: spans batches
-      size_t from = 0;
-      while (const size_t n =
-                 cache.NextTuples(from, std::span<sim::StreamTuple>(buf))) {
-        seen.insert(seen.end(), buf.begin(), buf.begin() + n);
-        from += n;
-      }
-      return seen;
-    }));
-  }
-  cache.Materialize();
-  const auto& want = cache.tuples();
-  ASSERT_FALSE(want.empty());
-  for (auto& f : futures) {
-    const auto seen = f.get();
-    ASSERT_EQ(seen.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(seen[i].token, want[i].token) << "pos " << i;
-      EXPECT_EQ(seen[i].query_pos, want[i].query_pos) << "pos " << i;
-      EXPECT_DOUBLE_EQ(seen[i].sim, want[i].sim) << "pos " << i;
-    }
-  }
-}
-
 TEST(EdgeCacheTest, InlineModeProducesOnDemandAndSeals) {
   // The single-thread pipelined shape: the consumer's NextTuples pulls
   // production along; FinishProduction seals, and replays observe the
@@ -214,19 +171,111 @@ TEST(EdgeCacheTest, InlineModeSealsEarlyWithSlack) {
   }
 }
 
-TEST(EdgeCacheTest, AbortPoisonsWithFullSlack) {
-  auto w = testing::MakeRandomWorkload(30, 150, 5, 12, 9008);
-  const auto qs = w.corpus.sets.Tokens(1);
-  std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.8, [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::Deferred{});
-  cache.Abort();
-  EXPECT_TRUE(cache.Materialized());
+TEST(EdgeCacheTest, InlineCacheReplaysAcrossSerialConsumers) {
+  // The serial-partition shape: one feedback-enabled cache, consumed by
+  // one partition after another. Consumer A stops after a short prefix;
+  // the still-unsealed cache must build the same matrices a sealed
+  // drain-to-α cache does (completion fills in the unproduced pairs);
+  // consumer B then replays from position 0, sees A's prefix unchanged,
+  // and pulls production further.
+  auto w = testing::MakeRandomWorkload(120, 900, 8, 30, 9008);
+  // A wide query (two stored sets unioned) over a low α: a deep stream,
+  // so both consumers stop well short of its end.
+  std::vector<TokenId> q;
+  for (const SetId id : {SetId{5}, SetId{9}}) {
+    const auto qs = w.corpus.sets.Tokens(id);
+    q.insert(q.end(), qs.begin(), qs.end());
+  }
+  std::sort(q.begin(), q.end());
+  q.erase(std::unique(q.begin(), q.end()), q.end());
+  const Score alpha = 0.3;
+  std::vector<sim::StreamTuple> full;
+  std::vector<std::vector<double>> want_matrices;
+  const SetId kCandidates = 20;
+  {
+    sim::TokenStream stream(q, w.index.get(), alpha,
+                            [](TokenId) { return true; });
+    EdgeCache drained(&stream);
+    ASSERT_TRUE(drained.ExhaustedToAlpha());
+    full = drained.tuples();
+    for (SetId id = 0; id < kCandidates; ++id) {
+      std::vector<uint32_t> rows, cols;
+      const auto m = drained.BuildMatrix(w.corpus.sets.Tokens(id), &rows,
+                                         &cols);
+      std::vector<double> dense(q.size() * w.corpus.sets.Tokens(id).size());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        for (size_t c = 0; c < cols.size(); ++c) {
+          dense[rows[r] * w.corpus.sets.Tokens(id).size() + cols[c]] =
+              m.At(r, c);
+        }
+      }
+      want_matrices.push_back(std::move(dense));
+    }
+  }
+  constexpr size_t kPrefixA = 8;
+  constexpr size_t kPrefixB = 24;
+  ASSERT_GT(full.size(), 2 * kPrefixB);
+
+  w.index->ResetCursors();
+  sim::TokenStream stream(q, w.index.get(), alpha,
+                          [](TokenId) { return true; });
+  // Stop source 0 = never withhold: the stream is cut only by the
+  // consumers stopping, which is exactly what FinishProduction must bound.
+  EdgeCache cache(&stream, EdgeCache::InlineProducer{}, w.sim.get(),
+                  [] { return 0.0; });
+  ASSERT_TRUE(cache.FeedbackEnabled());
+
+  std::vector<sim::StreamTuple> seen_a(kPrefixA);
+  ASSERT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(seen_a)),
+            kPrefixA);
+  ASSERT_FALSE(cache.Materialized());
+
+  for (SetId id = 0; id < kCandidates; ++id) {
+    const auto tokens = w.corpus.sets.Tokens(id);
+    std::vector<uint32_t> rows, cols;
+    matching::WeightMatrix m(0, 0);
+    cache.BuildMatrixInto(tokens, &rows, &cols, &m);
+    std::vector<double> dense(q.size() * tokens.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (size_t c = 0; c < cols.size(); ++c) {
+        dense[rows[r] * tokens.size() + cols[c]] = m.At(r, c);
+      }
+    }
+    ASSERT_EQ(dense.size(), want_matrices[id].size());
+    for (size_t i = 0; i < dense.size(); ++i) {
+      EXPECT_NEAR(dense[i], want_matrices[id][i], 1e-12)
+          << "set " << id << " cell " << i;
+    }
+  }
+  EXPECT_FALSE(cache.Materialized());
+
+  std::vector<sim::StreamTuple> seen_b;
+  std::vector<sim::StreamTuple> buf(5);
+  size_t from = 0;
+  while (from < kPrefixB) {
+    const size_t n = cache.NextTuples(from, std::span<sim::StreamTuple>(buf));
+    ASSERT_GT(n, 0u);
+    seen_b.insert(seen_b.end(), buf.begin(), buf.begin() + n);
+    from += n;
+  }
+  for (size_t i = 0; i < kPrefixA; ++i) {
+    EXPECT_EQ(seen_b[i].token, seen_a[i].token) << i;
+    EXPECT_EQ(seen_b[i].query_pos, seen_a[i].query_pos) << i;
+    EXPECT_DOUBLE_EQ(seen_b[i].sim, seen_a[i].sim) << i;
+  }
+  for (size_t i = 0; i < seen_b.size(); ++i) {
+    EXPECT_EQ(seen_b[i].token, full[i].token) << i;
+    EXPECT_DOUBLE_EQ(seen_b[i].sim, full[i].sim) << i;
+  }
+
+  cache.FinishProduction();
+  ASSERT_TRUE(cache.Materialized());
   EXPECT_FALSE(cache.ExhaustedToAlpha());
-  EXPECT_DOUBLE_EQ(cache.stop_sim(), 1.0);
-  // A blocked consumer wakes with 0 tuples instead of hanging.
-  std::vector<sim::StreamTuple> buf(4);
-  EXPECT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(buf)), 0u);
+  EXPECT_GE(cache.produced(), kPrefixB);
+  EXPECT_LT(cache.produced(), full.size());
+  for (size_t i = cache.produced(); i < full.size(); ++i) {
+    EXPECT_LE(full[i].sim, cache.stop_sim() + 1e-12) << i;
+  }
 }
 
 TEST(EdgeCacheTest, SelfMatchEdgesPresentForVocabularyTokens) {

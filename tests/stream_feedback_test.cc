@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
@@ -34,7 +32,7 @@ constexpr double kTol = 1e-9;
 //  * feedback never produces more tuples than the drain.
 void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
                          size_t partitions, size_t k, Score alpha,
-                         size_t num_threads, const std::string& label) {
+                         const std::string& label) {
   const auto q = w->corpus.sets.Tokens(query_set);
   SearcherOptions options;
   options.num_partitions = partitions;
@@ -43,7 +41,6 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   SearchParams feedback;
   feedback.k = k;
   feedback.alpha = alpha;
-  feedback.num_threads = num_threads;
   feedback.use_stream_feedback = true;
   SearchParams drain = feedback;
   drain.use_stream_feedback = false;
@@ -82,25 +79,23 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
 // ------------------------------------------------- exactness, k x p grid --
 
 class FeedbackExactnessTest
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
-  const auto [partitions, k, num_threads] = GetParam();
+  const auto [partitions, k] = GetParam();
   auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + partitions * 17 + k);
   for (SetId qid : {SetId{1}, SetId{57}}) {
-    ExpectFeedbackExact(&w, qid, partitions, k, 0.75, num_threads,
+    ExpectFeedbackExact(&w, qid, partitions, k, 0.75,
                         "p=" + std::to_string(partitions) +
                             " k=" + std::to_string(k) +
-                            " t=" + std::to_string(num_threads) +
                             " q=" + std::to_string(qid));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PartitionKGrid, FeedbackExactnessTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 4),     // partitions
-                       ::testing::Values<size_t>(1, 5, 20),  // k
-                       ::testing::Values<size_t>(1, 4)));    // threads
+    ::testing::Combine(::testing::Values<size_t>(1, 4),       // partitions
+                       ::testing::Values<size_t>(1, 5, 20)));  // k
 
 // --------------------------------------------------------- stop above α --
 
@@ -137,12 +132,10 @@ TEST(StreamFeedbackTest, StopsStrictlyAboveAlphaOnSkewedCorpus) {
 
 TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
   // §VI: the stop machinery derives from the cross-partition
-  // GlobalThreshold. In a serial 4-partition search the partition holding
-  // the query set publishes θlb = |Q|, after which every later partition's
+  // GlobalThreshold. In a 4-partition search the partition holding the
+  // query set publishes θlb = |Q|, after which every later partition's
   // consumer breaks almost immediately — aggregate consumption must drop
-  // well below the drain's, and production must never exceed it. The
-  // threaded run (producer races the consumers, so the stop point varies)
-  // must still return the identical exact answer.
+  // well below the drain's, and production must never exceed it.
   auto w = MakeRandomWorkload(200, 800, 8, 30, 8102);
   SearcherOptions options;
   options.num_partitions = 4;
@@ -159,97 +152,6 @@ TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
   EXPECT_LT(serial.stats.stream_tuples, drained.stats.stream_tuples);
   EXPECT_LE(serial.stats.stream_tuples_produced,
             drained.stats.stream_tuples_produced);
-
-  params.num_threads = 4;
-  const SearchResult threaded = searcher.Search(q, params);
-  EXPECT_LE(threaded.stats.stream_tuples_produced,
-            drained.stats.stream_tuples_produced);
-  ASSERT_EQ(threaded.topk.size(), serial.topk.size());
-  for (size_t i = 0; i < threaded.topk.size(); ++i) {
-    EXPECT_EQ(threaded.topk[i].set, serial.topk[i].set);
-    EXPECT_DOUBLE_EQ(threaded.topk[i].score, serial.topk[i].score);
-  }
-}
-
-// -------------------------------------------------- producer pacing race --
-
-TEST(StreamFeedbackTest, PacedProducerWaitsForSlowConsumer) {
-  // The overlapped-mode production race (ROADMAP follow-up, fixed in this
-  // PR): a free-running deferred producer can drain the stream to α before
-  // a slow consumer has processed enough tuples to declare its stop
-  // similarity, forfeiting the feedback savings entirely. With pacing the
-  // producer must stay within its lead of the consumer's hand-off
-  // position, so even a deliberately slow consumer ends the stream with
-  // far fewer tuples produced than a full drain.
-  auto w = MakeRandomWorkload(120, 900, 8, 30, 8107);
-  // A wide query (several stored sets unioned) over a low α: a deep drain,
-  // so the paced/unpaced difference is unmistakable.
-  std::vector<TokenId> q;
-  for (const SetId id : {SetId{5}, SetId{9}, SetId{23}, SetId{31}}) {
-    const auto qs = w.corpus.sets.Tokens(id);
-    q.insert(q.end(), qs.begin(), qs.end());
-  }
-  std::sort(q.begin(), q.end());
-  q.erase(std::unique(q.begin(), q.end()), q.end());
-  const Score alpha = 0.3;  // deep α-tail: the drain is large
-
-  // Reference: the unpaced full drain of this stream.
-  size_t full_drain = 0;
-  {
-    sim::TokenStream stream(q, w.index.get(), alpha,
-                            [](TokenId) { return true; });
-    EdgeCache drain(&stream, EdgeCache::Deferred{});
-    drain.Materialize();
-    full_drain = drain.produced();
-  }
-
-  constexpr size_t kConsumeTarget = 128;
-  constexpr size_t kChunk = 32;
-  constexpr size_t kLead = 64;
-  // The bound pacing must enforce: the hand-off position when the stop was
-  // declared (target plus up to one pull chunk), plus the lead, plus one
-  // publish batch of producer overshoot.
-  constexpr size_t kPacedBound = kConsumeTarget + kChunk + kLead + 32;
-  ASSERT_GT(full_drain, 2 * kPacedBound)
-      << "corpus too small to distinguish a paced run from a drain";
-
-  SearchContext ctx;
-  ctx.BeginSearch(/*num_consumers=*/1);
-  sim::TokenStream stream(q, w.index.get(), alpha,
-                          [](TokenId) { return true; });
-  EdgeCache cache(
-      &stream, EdgeCache::Deferred{}, w.sim.get(),
-      [&ctx] { return ctx.stop_controller().ProducerStop(); }, nullptr,
-      /*expected_consumers=*/1, /*producer_lead=*/kLead);
-  ASSERT_TRUE(cache.PacingEnabled());
-
-  std::thread producer([&] { cache.Materialize(); });
-  {
-    // Deliberately slow consumer: the warm cursor cache lets the producer
-    // build tuples orders of magnitude faster than this loop consumes
-    // them, which is exactly the racy regime.
-    EdgeCache::ConsumerGuard consumer(&cache);
-    std::vector<sim::StreamTuple> chunk(kChunk);
-    size_t consumed = 0;
-    Score last_sim = 1.0;
-    while (consumed < kConsumeTarget) {
-      const size_t n =
-          cache.NextTuples(consumed, std::span<sim::StreamTuple>(chunk));
-      if (n == 0) break;
-      consumed += n;
-      consumer.Advance(consumed);
-      last_sim = chunk[n - 1].sim;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    ctx.stop_controller().PublishConsumerStop(last_sim);
-  }
-  producer.join();
-
-  EXPECT_FALSE(cache.ExhaustedToAlpha());
-  EXPECT_LE(cache.produced(), kPacedBound)
-      << "producer outran its lead over the slow consumer";
-  EXPECT_LT(cache.produced(), full_drain / 2)
-      << "slow consumer still lost the streaming savings";
 }
 
 // ------------------------------------------ matrix completion, directly --
@@ -266,10 +168,17 @@ TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
   sim::TokenStream stream(q, w.index.get(), alpha,
                           [](TokenId) { return true; });
   // Fixed stop threshold well above α: the stream is guaranteed to stop
-  // early (self-matches at 1.0 are produced, the tail is withheld).
-  EdgeCache cache(&stream, EdgeCache::Deferred{}, w.sim.get(),
+  // early (self-matches at 1.0 are produced, the tail is withheld). The
+  // consumer pulls until the stop seals the cache.
+  EdgeCache cache(&stream, EdgeCache::InlineProducer{}, w.sim.get(),
                   [] { return 0.9; });
-  cache.Materialize();
+  std::vector<sim::StreamTuple> buf(EdgeCache::kConsumeChunk);
+  size_t from = 0;
+  while (const size_t n =
+             cache.NextTuples(from, std::span<sim::StreamTuple>(buf))) {
+    from += n;
+  }
+  ASSERT_TRUE(cache.Materialized());
   ASSERT_FALSE(cache.ExhaustedToAlpha());
   ASSERT_GE(cache.stop_sim(), alpha);
 

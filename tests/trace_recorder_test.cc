@@ -377,7 +377,6 @@ TEST(TraceRecorderTest, EngineQuerySpansCoverSearchWallTime) {
   core::SearchParams params;
   params.k = 5;
   params.alpha = 0.7;
-  params.num_threads = 1;
   const auto tokens = w.corpus.sets.Tokens(0);
   const serve::QueryEngine::Result result =
       engine.Submit({tokens.begin(), tokens.end()}, params).get();
@@ -430,7 +429,6 @@ TEST(TraceRecorderTest, SlowQueryLogDumpsSpanTreeAndStats) {
   core::SearchParams params;
   params.k = 10;
   params.alpha = 0.7;
-  params.num_threads = 1;
   const auto tokens = w.corpus.sets.Tokens(1);
   const serve::QueryEngine::Result result =
       engine.Submit({tokens.begin(), tokens.end()}, params).get();
