@@ -1,5 +1,8 @@
 // Micro benchmarks (google-benchmark): the kernels whose costs drive the
-// paper's complexity discussion — Hungarian matching (O(n³)), the greedy
+// paper's complexity discussion — Hungarian matching (a pass over the
+// matrix to find its connected components, then O(n³) per component of n
+// nodes) on a uniform graph that forms one giant component and on an
+// α-graph-shaped one that falls apart into small blocks, the greedy
 // matcher (O(E log E)), the early-terminated Hungarian, the token stream,
 // and the bucket index maintenance.
 #include <benchmark/benchmark.h>
@@ -69,6 +72,54 @@ void BM_Hungarian(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Hungarian)->RangeMultiplier(2)->Range(16, 256)->Complexity();
+
+// The shape of post-processing's α-graphs: blocks of 6 rows x 6 columns
+// (12 nodes) on a shuffled diagonal, filled so the whole matrix is 3.6%
+// non-zero where blocks that small can hold that many entries (up to
+// n ≈ 167; beyond, every block cell is set and the density is 6 / n).
+matching::WeightMatrix ClusteredMatrix(size_t n, uint64_t seed) {
+  constexpr size_t kBlock = 6;
+  util::Rng rng(seed);
+  std::vector<size_t> row_at(n), col_at(n);
+  for (size_t i = 0; i < n; ++i) row_at[i] = col_at[i] = i;
+  for (size_t i = n; i > 1; --i) {
+    std::swap(row_at[i - 1], row_at[rng.NextBounded(i)]);
+    std::swap(col_at[i - 1], col_at[rng.NextBounded(i)]);
+  }
+  const double fill = std::min(1.0, 0.036 * static_cast<double>(n) / kBlock);
+  matching::WeightMatrix m(n, n);
+  for (size_t b = 0; b < n; b += kBlock) {
+    for (size_t i = b; i < std::min(n, b + kBlock); ++i) {
+      for (size_t j = b; j < std::min(n, b + kBlock); ++j) {
+        if (rng.NextBool(fill)) {
+          m.At(row_at[i], col_at[j]) = 0.8 + 0.2 * rng.NextDouble();
+        }
+      }
+    }
+  }
+  return m;
+}
+
+void BM_HungarianClustered(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto m = ClusteredMatrix(n, 45);
+  size_t nonzero = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) nonzero += m.At(i, j) > 0.0;
+  }
+  matching::HungarianWorkspace workspace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        matching::HungarianMatcher::Solve(m, -1.0, &workspace));
+  }
+  state.counters["density"] =
+      static_cast<double>(nonzero) / static_cast<double>(n * n);
+  state.SetComplexityN(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_HungarianClustered)
+    ->RangeMultiplier(2)
+    ->Range(64, 512)
+    ->Complexity();
 
 void BM_HungarianEarlyTerminated(benchmark::State& state) {
   // A threshold far above the optimum: termination fires on the first dual

@@ -63,7 +63,7 @@ core::SearchResult BruteForceBaseline::Search(std::span<const TokenId> query,
 
   // Verification: exact matching for every candidate. The paper's baseline
   // initializes a dense |Q| x |C| similarity matrix (from the cached
-  // stream similarities) and solves it with a dense Hungarian kernel.
+  // stream similarities); the solver splits it into connected components.
   timer.Restart();
   auto verify = [&](SetId id) -> Score {
     if (options.dense_verification) {

@@ -22,10 +22,11 @@ struct BaselineOptions {
   /// false: plain Baseline (verify every candidate).
   /// true:  Baseline+ (refinement-style iUB pruning first).
   bool use_iub_filter = false;
-  /// Verify on the dense |Q| x |C| similarity matrix, as the paper's
-  /// baseline does (it feeds full matrices to a dense Hungarian solver).
-  /// false switches to Koios' graph-restricted matrices, isolating the
-  /// filter framework from the verification-kernel difference.
+  /// Build the full |Q| x |C| similarity matrix, as the paper's baseline
+  /// does; false builds Koios' graph-restricted matrix instead. The option
+  /// decides only how the matrix is built: the solver splits any matrix it
+  /// is given into connected components, so zero rows and columns never
+  /// reach the dense kernel either way.
   bool dense_verification = true;
 };
 

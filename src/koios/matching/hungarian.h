@@ -1,13 +1,27 @@
 // Maximum-weight bipartite matching via the Hungarian (Kuhn–Munkres)
-// algorithm with slack arrays — O(n³) — plus the early-termination filter
-// of paper Lemma 8: the algorithm maintains a feasible node labeling l with
-// Σ_v l(v) ≥ w(M*) at all times, and label updates only ever decrease the
-// sum, so matching can abort as soon as the sum drops below the current
-// pruning threshold θlb.
+// algorithm with slack arrays, plus the early-termination filter of paper
+// Lemma 8.
+//
+// The α-graph of a query and a set is sparse and falls apart into many
+// small connected components, and a maximum-weight matching of a
+// disconnected graph is the union of the per-component optima. Solve
+// therefore finds the components of the positive entries, solves a
+// component with one row or one column by its largest edge, and runs the
+// dense O(n³) kernel on each other component's compacted sub-matrix, so
+// the cost is a sum over components rather than one padded square.
+//
+// The kernel keeps a feasible node labeling l with Σ_v l(v) ≥ w(M*), and
+// label updates only ever decrease the sum. Lemma 8's bound covers the
+// whole graph: the exact optimum of each solved component, plus the label
+// sum of the component being solved, plus the initial label sum (its row
+// maxima) of each unsolved one. It starts at Σ row maxima, like one dense
+// solve of the whole matrix, and matching aborts as soon as it drops below
+// the current pruning threshold θlb.
 //
 // The paper's semantic overlap is an *optional* one-to-one matching with
-// non-negative weights; padding the weight matrix to a square with zeros
-// makes the optimal perfect matching equal the optimal optional matching.
+// non-negative weights; padding a component's sub-matrix to a square with
+// zeros makes the optimal perfect matching equal the optimal optional
+// matching.
 #ifndef KOIOS_MATCHING_HUNGARIAN_H_
 #define KOIOS_MATCHING_HUNGARIAN_H_
 
@@ -49,11 +63,13 @@ class WeightMatrix {
   std::vector<double> w_;
 };
 
-/// Reusable solve arena: every array the Hungarian algorithm needs, sized
-/// lazily by Solve and reused across calls so the post-processing loop
-/// (one Solve per surviving candidate) stops paying an allocation storm
-/// per matching. One workspace per thread — Solve never shares one across
-/// concurrent calls; the pooled EM batches keep a thread_local instance.
+/// Reusable solve arena: the component split's labels and row/column
+/// lists, the compacted sub-matrix and the kernel's arrays (sized by the
+/// largest component), grown lazily by Solve and reused across calls so
+/// the post-processing loop (one Solve per surviving candidate) stops
+/// paying an allocation storm per matching. One workspace per thread —
+/// Solve never shares one across concurrent calls; the pooled EM batches
+/// keep a thread_local instance.
 class HungarianWorkspace {
  public:
   /// Number of Solve calls that used this workspace (0 = fresh). The
@@ -62,6 +78,14 @@ class HungarianWorkspace {
 
  private:
   friend class HungarianMatcher;
+  // Component split: union-find parents over rows then columns, component
+  // ids, and per-component CSR lists of rows and columns.
+  std::vector<int32_t> parent_, comp_of_, comp_rows_, comp_cols_;
+  std::vector<size_t> comp_row_begin_, comp_col_begin_, fill_;
+  // Row maxima, and pending_[k] = Σ row maxima of components k..
+  std::vector<double> row_max_, pending_;
+  // One component's sub-matrix, zero-padded to a square, and the kernel.
+  std::vector<double> sub_;
   std::vector<double> lx_, ly_, slack_;
   std::vector<int32_t> match_x_, match_y_, slack_x_, parent_y_;
   std::vector<char> in_s_, in_t_;
@@ -78,25 +102,36 @@ struct MatchResult {
   /// match_of_row[r] = matched column, or -1 if row r is unmatched or its
   /// matched edge has zero weight (optional matching semantics).
   std::vector<int32_t> match_of_row;
-  /// Number of augmenting rounds executed (for the micro benchmarks).
+  /// Number of augmentations over all components (for the micro
+  /// benchmarks); a one-row or one-column component counts as one.
   size_t rounds = 0;
-  /// Final Σ l(v), the Kuhn–Munkres dual bound on the matching weight.
+  /// Σ of the components' final Σ l(v), the Kuhn–Munkres dual bound on the
+  /// matching weight; on early termination, the bound that fell below the
+  /// threshold.
   double label_sum = 0.0;
 };
 
 class HungarianMatcher {
  public:
-  /// Computes a maximum-weight optional matching of `weights`.
+  /// Computes a maximum-weight optional matching of `weights`, one
+  /// connected component at a time in order of smallest row. The score is
+  /// summed in row order over match_of_row, so one matrix always gives the
+  /// same bits.
   ///
-  /// If `prune_threshold` >= 0, the run aborts once the dual label sum
-  /// certifies that the optimum is below the threshold (Lemma 8); the
+  /// If `prune_threshold` >= 0, the run aborts once the whole-graph dual
+  /// bound certifies that the optimum is below the threshold (Lemma 8); the
   /// result then has early_terminated = true.
   ///
   /// `workspace` (nullable) supplies the solve arrays; passing one across
-  /// calls eliminates the per-candidate allocations of the dense arena.
+  /// calls eliminates the per-candidate allocations of the arena.
   static MatchResult Solve(const WeightMatrix& weights,
                            double prune_threshold = -1.0,
                            HungarianWorkspace* workspace = nullptr);
+
+ private:
+  static bool SolveDense(HungarianWorkspace& ws, size_t n, double other_bound,
+                         double prune_limit, double* label_sum,
+                         size_t* rounds);
 };
 
 }  // namespace koios::matching

@@ -119,10 +119,10 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// ClearCursorCache() to actually drop them.
   void ResetCursors() override;
 
-  /// Eagerly builds (in parallel when a pool is set) the cursors for every
-  /// token in `tokens` that is not already cached at this α. Cursors land
-  /// in the shared cache, so one query's (or one SearchMany batch's)
-  /// prewarm is every concurrent query's warm start.
+  /// Eagerly builds (in parallel over the constructor's pool, when one was
+  /// given) the cursors for every token in `tokens` that is not already
+  /// cached at this α. Cursors land in the shared cache, so one query's (or
+  /// one SearchMany batch's) prewarm is every concurrent query's warm start.
   void Prewarm(std::span<const TokenId> tokens, Score alpha) override;
 
   /// Per-query probe session over the shared cursor cache (see
@@ -130,11 +130,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// table); any number may run concurrently with each other, with
   /// Prewarm, and with the owning index's legacy interface.
   std::unique_ptr<SimilarityIndex> NewSession() override;
-
-  /// Swap the worker pool used by Prewarm (nullptr = serial), so cursor
-  /// builds fan out without the index owning threads. Sessions carry their
-  /// own pool pointer, so this setting is only for the legacy interface.
-  void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
 
   CursorCacheStats cursor_cache_stats() const;
 
