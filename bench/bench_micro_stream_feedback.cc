@@ -14,8 +14,9 @@
 // set against the direct semantic-overlap oracle (tied sets at θ*k may
 // swap identities between runs, as in the exactness test suite).
 //
-// Sections: unpartitioned and 4 partitions (each partition replays the
-// shared stream in turn).
+// Sections: one shard, and 4 shards searched one after another on the
+// calling thread (serve::ShardCoordinator with no pool) under one shared
+// θlb; tuple counts are summed over the shards.
 //
 // Emits a table and, with `--json <path>`, a JSON blob for CI. Exit 2 =
 // top-k mismatch between the modes OR tuple reduction below the 30%
@@ -30,11 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "koios/core/searcher.h"
 #include "koios/data/corpus.h"
 #include "koios/data/query_benchmark.h"
-#include "koios/matching/semantic_overlap.h"
 #include "koios/embedding/synthetic_model.h"
+#include "koios/matching/semantic_overlap.h"
+#include "koios/serve/shard_coordinator.h"
 #include "koios/sim/cosine_similarity.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/util/rng.h"
@@ -56,12 +57,12 @@ struct ModeOutcome {
 
 struct Section {
   const char* name;
-  size_t partitions;
+  size_t shards;
   ModeOutcome feedback;
   ModeOutcome drain;
 };
 
-ModeOutcome RunMode(core::KoiosSearcher* searcher,
+ModeOutcome RunMode(const serve::ShardCoordinator& coordinator,
                     const std::vector<data::BenchmarkQuery>& queries,
                     const core::SearchParams& params) {
   ModeOutcome out;
@@ -71,7 +72,8 @@ ModeOutcome RunMode(core::KoiosSearcher* searcher,
     double stop_sum = 0.0;
     std::vector<std::vector<core::ResultEntry>> topk;
     for (const auto& query : queries) {
-      core::SearchResult r = searcher->Search(query.tokens, params);
+      core::SearchResult r = coordinator.Execute(
+          query.tokens, params, {}, /*shard_pool=*/nullptr, nullptr);
       produced += r.stats.stream_tuples_produced;
       consumed += r.stats.stream_tuples;
       stop_sum += r.stats.stream_stop_sim;
@@ -148,26 +150,41 @@ int Run(size_t vocab, const std::string& json_path) {
   data::Corpus corpus;
   corpus.spec = spec;
   corpus.vocabulary = base.vocabulary;
+  std::vector<std::vector<TokenId>> all_sets;  // base sets, then the copies
   for (SetId id = 0; id < base.sets.size(); ++id) {
-    corpus.sets.AddSet(base.sets.Tokens(id));
+    const auto tokens = base.sets.Tokens(id);
+    all_sets.emplace_back(tokens.begin(), tokens.end());
   }
   util::Rng dup_rng(spec.seed * 13 + 7);
   std::vector<SetId> hubs;
-  std::vector<TokenId> copy;
   for (size_t h = 0; h < kHubs; ++h) {
     const SetId hub =
         static_cast<SetId>(dup_rng.NextBounded(base.sets.size()));
     hubs.push_back(hub);
     const auto tokens = base.sets.Tokens(hub);
     for (size_t c = 0; c < kCopies; ++c) {
-      copy.assign(tokens.begin(), tokens.end());
+      std::vector<TokenId> copy(tokens.begin(), tokens.end());
       for (TokenId& t : copy) {
         if (dup_rng.NextDouble() < kMutation) {
           t = corpus.vocabulary[dup_rng.NextBounded(corpus.vocabulary.size())];
         }
       }
-      corpus.sets.AddSet(copy);
+      all_sets.push_back(std::move(copy));
     }
+  }
+  // Store the sets in a seeded random order, so each contiguous shard is a
+  // random sample of the corpus as the paper's random partitions are (§VI).
+  // In generation order every copy would sit in the last shard.
+  std::vector<SetId> order(all_sets.size());
+  for (SetId i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng order_rng(spec.seed * 17 + 3);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[order_rng.NextBounded(i)]);
+  }
+  std::vector<SetId> stored_id(all_sets.size());
+  for (SetId pos = 0; pos < order.size(); ++pos) {
+    stored_id[order[pos]] = pos;
+    corpus.sets.AddSet(all_sets[order[pos]]);
   }
 
   embedding::SyntheticModelSpec model_spec;
@@ -188,8 +205,8 @@ int Run(size_t vocab, const std::string& json_path) {
   std::vector<data::BenchmarkQuery> queries;
   for (const SetId hub : hubs) {
     data::BenchmarkQuery q;
-    q.source_set = hub;
-    const auto tokens = corpus.sets.Tokens(hub);
+    q.source_set = stored_id[hub];
+    const auto tokens = corpus.sets.Tokens(q.source_set);
     q.tokens.assign(tokens.begin(), tokens.end());
     queries.push_back(std::move(q));
   }
@@ -199,8 +216,8 @@ int Run(size_t vocab, const std::string& json_path) {
   params_base.alpha = 0.45;  // deep α-tail: the drain pays for it, feedback doesn't
 
   Section sections[] = {
-      {"p=1 serial", 1, {}, {}},
-      {"p=4 serial", 4, {}, {}},
+      {"N=1", 1, {}, {}},
+      {"N=4 sequential", 4, {}, {}},
   };
 
   std::printf("\n=== stream feedback: tuples produced & latency vs drain-to-α ===\n");
@@ -213,14 +230,14 @@ int Run(size_t vocab, const std::string& json_path) {
   bool below_bar = false;
   bool no_speedup = false;
   for (Section& s : sections) {
-    core::SearcherOptions options;
-    options.num_partitions = s.partitions;
-    core::KoiosSearcher searcher(&corpus.sets, &index, options);
+    serve::ShardOptions options;
+    options.num_shards = s.shards;
+    const serve::ShardCoordinator coordinator(&corpus.sets, &index, options);
     core::SearchParams params = params_base;
     params.use_stream_feedback = true;
-    s.feedback = RunMode(&searcher, queries, params);
+    s.feedback = RunMode(coordinator, queries, params);
     params.use_stream_feedback = false;
-    s.drain = RunMode(&searcher, queries, params);
+    s.drain = RunMode(coordinator, queries, params);
 
     if (!SameTopK(s.feedback, s.drain, queries, corpus.sets, cosine,
                   params_base.alpha)) {
@@ -268,13 +285,13 @@ int Run(size_t vocab, const std::string& json_path) {
                             static_cast<double>(s.drain.tuples_produced);
         std::fprintf(
             f,
-            "    {\"name\": \"%s\", \"partitions\": %zu,\n"
+            "    {\"name\": \"%s\", \"shards\": %zu,\n"
             "     \"feedback\": {\"tuples_produced\": %zu, \"tuples_consumed\": %zu,"
             " \"sec\": %.6f, \"mean_stop_sim\": %.4f},\n"
             "     \"drain\": {\"tuples_produced\": %zu, \"tuples_consumed\": %zu,"
             " \"sec\": %.6f},\n"
             "     \"tuple_reduction\": %.4f}%s\n",
-            s.name, s.partitions, s.feedback.tuples_produced,
+            s.name, s.shards, s.feedback.tuples_produced,
             s.feedback.tuples_consumed, s.feedback.best_sec,
             s.feedback.mean_stop_sim, s.drain.tuples_produced,
             s.drain.tuples_consumed, s.drain.best_sec, reduction,

@@ -30,9 +30,7 @@ void Run() {
                               Dataset::kTwitter, Dataset::kWdc};
   for (Dataset d : datasets) {
     BenchWorkload w = MakeBenchWorkload(d);
-    core::SearcherOptions options;
-    options.num_partitions = 10;
-    core::KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+    core::KoiosSearcher searcher(&w.corpus.sets, w.index.get());
     baselines::BruteForceBaseline baseline(&w.corpus.sets, w.index.get());
 
     core::SearchParams params;
@@ -92,7 +90,7 @@ void Run() {
     }
   }
   std::printf(
-      "\nKoios: k=10, alpha=0.8, 10 partitions; first row per dataset uses"
+      "\nKoios: k=10, alpha=0.8, unpartitioned; first row per dataset uses"
       " the θlb\nstream feedback (default), the (drain) row the drain-to-α"
       " ablation; tuples =\nmean stream tuples materialized per query."
       " Baseline verifies every candidate\n(Baseline+ with iUB filter on"

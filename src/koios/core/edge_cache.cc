@@ -97,8 +97,8 @@ void EdgeCache::BuildMatrixInto(std::span<const TokenId> candidate_tokens,
   set_cols->clear();
 
   // Sealed caches answer from their recorded stop state; an unsealed
-  // cache (a partition's post-processing while later partitions may still
-  // extend production) asks the stream directly.
+  // cache (post-processing that runs before FinishProduction) asks the
+  // stream directly.
   const bool exhausted =
       done_ ? exhausted_
             : !stream_->stopped() && !stream_->PeekSim().has_value();

@@ -1,16 +1,15 @@
 // Materialized token stream + similarity cache.
 //
 // Refinement consumes the stream Ie in non-increasing similarity order. We
-// materialize the consumed prefix once per query: (1) partitioned search
-// can replay the same global order in every partition, and (2) the
-// α-surviving edges double as the similarity cache the paper reuses when
-// initializing the matching matrices during post-processing (§VIII-A3).
+// materialize the consumed prefix once per query: the α-surviving edges
+// double as the similarity cache the paper reuses when initializing the
+// matching matrices during post-processing (§VIII-A3).
 //
 // Materialization is BOUNDED by the θlb feedback loop (§IV–VI): the
-// producer polls a stop-similarity source (derived from the partitions'
-// shared GlobalThreshold) before every tuple and stops the stream once no
-// unseen set can reach the top-k — tuples below τ are never ordered,
-// scored or materialized. The cache then records the stop similarity so
+// producer polls a stop-similarity source (derived from the query's
+// GlobalThreshold, which the shards of a sharded query share) before every
+// tuple and stops the stream once no unseen set can reach the top-k —
+// tuples below τ are never ordered, scored or materialized. The cache then records the stop similarity so
 // consumers can (a) keep it as upper-bound slack and (b) have BuildMatrix
 // complete the missing below-τ edges on demand through the similarity's
 // batch kernels, preserving exactness end to end. Without a stop source
@@ -20,10 +19,8 @@
 // so refinement and cursor ordering interleave on one thread. The one-arg
 // constructor drains the whole stream up front; the InlineProducer
 // constructor produces on demand, and FinishProduction() seals the cache
-// before post-processing. A partitioned search replays the cache once per
-// partition, one partition after another: each consumer owns its cursor
-// (`from`) and a later one may pull production further than an earlier
-// one did.
+// once consumption is over. The consumer owns its cursor (`from`), so the
+// cache can also be replayed from the start.
 #ifndef KOIOS_CORE_EDGE_CACHE_H_
 #define KOIOS_CORE_EDGE_CACHE_H_
 

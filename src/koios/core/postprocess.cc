@@ -215,7 +215,7 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   }
 
   // Harvest the window; optionally verify No-EM admissions so every
-  // reported score is the exact SO (needed for cross-partition merging).
+  // reported score is the exact SO (needed for cross-shard merging).
   std::vector<ResultEntry> result;
   auto harvest = [&](const Item& item) {
     ResultEntry entry;
@@ -239,7 +239,7 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   // by UPPER BOUNDS: a No-EM admission keeps its inflated refinement
   // bound while an EM'd set is repositioned to its exact score, so WHICH
   // of several sets tied at the k-th exact score made the window depends
-  // on processing history — and serial, partitioned and sharded runs have
+  // on processing history — and unsharded and sharded runs have
   // different histories. The bit-identity contract (ROADMAP item 4) needs
   // one canonical answer: smallest ids win. Sweep the remaining alive
   // sets that could still reach the k-th exact score (SO <= ub bounds the

@@ -19,10 +19,10 @@ namespace koios::core {
 class PostProcessor {
  public:
   /// `ctx` may be null (phase-level tests): its GlobalThreshold is the
-  /// cross-partition θlb, its deadline/cancellation is polled between
-  /// exact-matching batches (throwing SearchAborted). `pool` may be null;
-  /// with a pool, exact matchings run in parallel batches as wide as the
-  /// pool as in the paper ("all sets in Lub are queued and evaluated in
+  /// query's θlb (cross-shard when sharded), its deadline/cancellation is
+  /// polled between exact-matching batches (throwing SearchAborted). `pool`
+  /// may be null; with a pool, exact matchings run in parallel batches as
+  /// wide as the pool as in the paper ("all sets in Lub are queued and evaluated in
   /// parallel in the background").
   PostProcessor(const index::SetCollection* sets, const EdgeCache* cache,
                 const SearchParams& params, SearchContext* ctx,

@@ -221,8 +221,8 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   };
 
   if (cache->Materialized()) {
-    // Sealed (a synchronously drained cache, or a later partition once
-    // production reached the stream's end): replay in place.
+    // Sealed (a synchronously drained cache, or production that already
+    // reached the stream's end): replay in place.
     for (const sim::StreamTuple& tuple : cache->tuples()) {
       if (should_stop(tuple.sim)) {
         out.ub_slack = tuple.sim;
@@ -234,7 +234,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   } else {
     // Pipelined search: production happens inside NextTuples on this very
     // thread; pull copies in chunks through the cache's incremental
-    // interface (later partitions replay the cached prefix the same way).
+    // interface.
     std::vector<sim::StreamTuple> chunk(EdgeCache::kConsumeChunk);
     size_t consumed = 0;
     while (!stopped_early) {
@@ -253,10 +253,9 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     }
   }
   if (stopped_early) {
-    // Declare the stop so the producer may cease materializing below it
-    // once every partition's consumer has declared one. stopped_early
-    // implies feedback was enabled, which implies a context exists (the
-    // searcher only wires a stop source when it has one).
+    // Declare the stop so the producer may cease materializing below it.
+    // stopped_early implies feedback was enabled, which implies a context
+    // exists (the searcher only wires a stop source when it has one).
     if (ctx != nullptr) {
       ctx->stop_controller().PublishConsumerStop(out.ub_slack);
     }

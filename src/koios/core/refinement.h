@@ -35,8 +35,8 @@ struct RefinementOutput {
 
 class RefinementPhase {
  public:
-  /// `sets` is the full collection; `inverted` indexes the sets of this
-  /// partition only (or all sets when unpartitioned).
+  /// `sets` is the searched collection (a shard's slice when sharded);
+  /// `inverted` indexes its sets.
   RefinementPhase(const index::SetCollection* sets,
                   const index::InvertedIndex* inverted, size_t query_size,
                   const SearchParams& params);
@@ -47,10 +47,10 @@ class RefinementPhase {
   /// accumulated into `stats`.
   ///
   /// `ctx` (nullable) is the per-query SearchContext. Its GlobalThreshold
-  /// is the cross-partition θlb of §VI: any partition's k-th best lower
-  /// bound is a valid lower bound on the *merged* θ*k, so partitions can
-  /// prune with the maximum across all of them without affecting the
-  /// merged result's exactness. It also powers the feedback loop: every
+  /// may be the cross-shard θlb of §VI: any shard's k-th best lower bound
+  /// is a valid lower bound on the *merged* θ*k, so shards can prune with
+  /// the maximum across all of them without affecting the merged result's
+  /// exactness. It also powers the feedback loop: every
   /// θlb improvement is published immediately (greedy lower bounds,
   /// Lemma 4/5). The context's deadline/cancellation is polled every
   /// stop-check cadence; an elapsed deadline throws SearchAborted.
@@ -70,8 +70,8 @@ class RefinementPhase {
   ///     stop, so exactness is untouched).
   /// The declined similarity becomes the survivors' upper-bound slack
   /// (ub_slack) and is declared to the context's StreamStopController so
-  /// the producer can stop materializing once every partition has
-  /// declared (no declarations happen without a context).
+  /// the producer can stop materializing below it (no declarations happen
+  /// without a context).
   RefinementOutput Run(EdgeCache* cache, SearchStats* stats,
                        SearchContext* ctx = nullptr);
 

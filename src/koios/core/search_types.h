@@ -14,8 +14,9 @@
 
 namespace koios::core {
 
-/// θlb shared across concurrently searched partitions (paper §VI: "all
-/// partitions share a global θlb that is the maximum of the θlb").
+/// θlb of one query. The shards of a sharded query share one (paper §VI:
+/// "all partitions share a global θlb that is the maximum of the θlb";
+/// serve::ShardCoordinator's shards are the paper's partitions).
 /// Monotone non-decreasing maximum of published values. Besides pruning, it
 /// drives the stream-feedback loop: the searcher derives the producer's
 /// stop similarity τ = (θlb − ε) / |Q| from it, so it is published from
@@ -47,7 +48,8 @@ class GlobalThreshold {
 /// once EVERY consumer has declared one, and then only below the minimum —
 /// a consumer that never declares (it needs the full α-drain) keeps the
 /// producer running, which is what makes the stop exact for all consumers.
-/// Producer and consumers run on the searching thread.
+/// Producer and consumers run on the searching thread. KoiosSearcher has
+/// one consumer; the count stays a parameter of the interface.
 class StreamStopController {
  public:
   explicit StreamStopController(size_t num_consumers)
@@ -92,8 +94,8 @@ struct SearchAborted : public std::exception {
 /// It bundles exactly the state that must be PER QUERY for concurrent
 /// searches over one shared repository snapshot to be correct:
 ///
-///  * the cross-partition θlb (GlobalThreshold) and the θlb→producer
-///    stream-feedback aggregation (StreamStopController) — previously
+///  * the θlb (GlobalThreshold, attachable across shards) and the
+///    θlb→producer stream-feedback aggregation (StreamStopController) — previously
 ///    locals of KoiosSearcher::Search, hoisted here so the whole query
 ///    path is reentrant and a caller (the serve engine) can observe them;
 ///  * deadline / cancellation: phases poll Cancelled() at coarse cadences
@@ -144,9 +146,10 @@ class SearchContext {
     if (Cancelled()) throw SearchAborted{};
   }
 
-  /// Called by KoiosSearcher::Search on entry: rearms the per-query
-  /// machinery for `num_consumers` refinement partitions. A shared
-  /// (attached) θlb is deliberately left alone — see AttachSharedTheta.
+  /// Called by KoiosSearcher::Search on entry (with one consumer): rearms
+  /// the per-query machinery for `num_consumers` refinement consumers. A
+  /// shared (attached) θlb is deliberately left alone — see
+  /// AttachSharedTheta.
   void BeginSearch(size_t num_consumers) {
     if (shared_theta_ == nullptr) global_theta_.Reset();
     stop_controller_.Reset(num_consumers);
@@ -207,7 +210,7 @@ struct SearchParams {
 
   /// Compute the exact SO of every reported result set even when the
   /// No-EM filter certified membership without verification. Needed for
-  /// exact cross-partition merging; counted separately in the stats.
+  /// exact cross-shard merging; counted separately in the stats.
   bool verify_result_scores = true;
 };
 

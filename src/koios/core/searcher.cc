@@ -1,50 +1,19 @@
 #include "koios/core/searcher.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/refinement.h"
 #include "koios/sim/token_stream.h"
-#include "koios/util/rng.h"
 #include "koios/util/timer.h"
 #include "koios/util/trace_recorder.h"
 
 namespace koios::core {
 
 KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
-                             sim::SimilarityIndex* index,
-                             const SearcherOptions& options)
-    : sets_(sets), index_(index), options_(options) {
-  const size_t p = std::max<size_t>(1, options_.num_partitions);
-  // Random partition assignment (paper §VI: "we randomly partition the
-  // repository"); expected equal sizes.
-  std::vector<std::vector<SetId>> members(p);
-  util::Rng rng(options_.partition_seed);
-  for (SetId id = 0; id < sets_->size(); ++id) {
-    members[p == 1 ? 0 : rng.NextBounded(p)].push_back(id);
-  }
-  partition_inverted_.reserve(p);
-  for (const auto& subset : members) {
-    partition_inverted_.emplace_back(*sets_, subset);
-  }
-}
-
-bool KoiosSearcher::InVocabulary(TokenId token) const {
-  for (const auto& inverted : partition_inverted_) {
-    if (inverted.InVocabulary(token)) return true;
-  }
-  return false;
-}
-
-size_t KoiosSearcher::IndexMemoryUsageBytes() const {
-  size_t bytes = 0;
-  for (const auto& inverted : partition_inverted_) {
-    bytes += inverted.MemoryUsageBytes();
-  }
-  return bytes;
-}
+                             sim::SimilarityIndex* index)
+    : sets_(sets), index_(index), inverted_(*sets) {}
 
 SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
                                    const SearchParams& params) {
@@ -63,17 +32,16 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   // Per-query machinery: callers that care (the serve engine) pass their
   // own context (deadline, cancel flag, observable θlb); the legacy path
   // gets a stack-local one.
-  const size_t p = partition_inverted_.size();
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  ctx->BeginSearch(p);
+  ctx->BeginSearch(1);
   ctx->CheckCancelled();  // an already-expired deadline never starts work
 
-  // Root span of the search core (children: cursor build, per-partition
-  // refinement/postprocess).
+  // Root span of the search core (children: cursor build, refinement,
+  // postprocess).
   util::TraceSpan search_span("search", "query_tokens", query.size());
 
-  // ---- shared refinement input: the token stream, produced once --------
+  // ---- refinement input: the token stream ------------------------------
   std::optional<sim::TokenStream> stream_storage;
   {
     // Cursor construction: TokenStream's constructor prewarms every query
@@ -91,13 +59,12 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   sim::TokenStream& stream = *stream_storage;
 
   // ---- θlb→producer feedback (§IV–VI) ----------------------------------
-  // Refinement consumers publish their running θlb into the shared
-  // GlobalThreshold (one partition's k-th lower bound is a valid bound on
-  // the merged θ*k, so the maximum serves every partition) and derive from
-  // it the stop similarity τ(θlb, |Q|, partial scores) at which they stop
-  // consuming; each declares its τ to the controller, and the producer
-  // stops materializing below the minimum once every partition has
-  // declared — tuples under τ are never ordered, scored or cached.
+  // Refinement publishes its running θlb into the context's
+  // GlobalThreshold (shared with the other shards of a sharded query) and
+  // derives from it the stop similarity τ(θlb, |Q|, partial scores) at
+  // which it stops consuming; it declares τ to the controller, and the
+  // producer stops materializing below it — tuples under τ are never
+  // ordered, scored or cached.
   // Exactness requires the index's SimilarityFunction so exact matching
   // can complete below-τ edges on demand, AND an exact-neighbor index:
   // completing from the raw similarity would score pairs an approximate
@@ -115,50 +82,33 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   }
   // The consumer pulls production along inside NextTuples, so production
   // is pipelined with refinement on this thread and its cost lands in the
-  // partitions' "refinement" timers.
+  // "refinement" timer.
   EdgeCache cache(&stream, EdgeCache::InlineProducer{}, completer, stop_fn,
                   ctx);
 
-  // ---- per-partition search under the shared global θlb ------------------
-  // Partitions run one after another. The cache stays unsealed across
-  // them — a later partition may need tuples below an earlier one's stop —
-  // and is sealed once all of them finished.
-  std::vector<ResultEntry> merged;
-  for (size_t part = 0; part < p; ++part) {
-    SearchStats stats;
-    RefinementOutput refined;
-    {
-      util::TraceSpan refine_span("search.refinement");
-      RefinementPhase refinement(sets_, &partition_inverted_[part],
-                                 query.size(), params);
-      util::WallTimer timer;
-      refined = refinement.Run(&cache, &stats, ctx);
-      stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
-      refine_span.set_arg("tuples", stats.stream_tuples);
-    }
+  SearchStats& stats = result.stats;
+  RefinementOutput refined;
+  {
+    util::TraceSpan refine_span("search.refinement");
+    RefinementPhase refinement(sets_, &inverted_, query.size(), params);
+    util::WallTimer timer;
+    refined = refinement.Run(&cache, &stats, ctx);
+    stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+    refine_span.set_arg("tuples", stats.stream_tuples);
+  }
+  {
     util::TraceSpan post_span("search.postprocess");
     util::WallTimer timer;
     PostProcessor post(sets_, &cache, params, ctx, /*pool=*/nullptr);
-    const std::vector<ResultEntry> partial = post.Run(std::move(refined), &stats);
+    result.topk = post.Run(std::move(refined), &stats);
     stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
     post_span.set_arg("em_computed", stats.em_computed);
-    merged.insert(merged.end(), partial.begin(), partial.end());
-    result.stats.Merge(stats);
   }
   cache.FinishProduction();
-  result.stats.stream_tuples_produced = cache.produced();
-  result.stats.stream_stop_sim = cache.stop_sim();
-  result.stats.memory.AddPeak("stream.edge_cache", cache.MemoryUsageBytes());
-  result.stats.memory.AddPeak("index.inverted", IndexMemoryUsageBytes());
-
-  // ---- merge-sort the per-partition top-k lists --------------------------
-  std::sort(merged.begin(), merged.end(),
-            [](const ResultEntry& a, const ResultEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.set < b.set;
-            });
-  if (merged.size() > params.k) merged.resize(params.k);
-  result.topk = std::move(merged);
+  stats.stream_tuples_produced = cache.produced();
+  stats.stream_stop_sim = cache.stop_sim();
+  stats.memory.AddPeak("stream.edge_cache", cache.MemoryUsageBytes());
+  stats.memory.AddPeak("index.inverted", IndexMemoryUsageBytes());
   return result;
 }
 

@@ -1,13 +1,11 @@
 // KoiosSearcher — the public entry point: top-k semantic overlap search
-// over a set repository, with optional random partitioning searched under a
-// shared global θlb (paper §VI). A search runs on the calling thread;
-// parallelism across a query's parts is serve::ShardCoordinator's job.
+// over a set repository. A search runs on the calling thread. Splitting a
+// query across parts of the repository under one global θlb (paper §VI)
+// is serve::ShardCoordinator's job: each shard owns one KoiosSearcher.
 #ifndef KOIOS_CORE_SEARCHER_H_
 #define KOIOS_CORE_SEARCHER_H_
 
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "koios/core/postprocess.h"
 #include "koios/core/search_types.h"
@@ -17,20 +15,11 @@
 
 namespace koios::core {
 
-struct SearcherOptions {
-  /// Random partitions of the repository; each is searched in turn on the
-  /// calling thread under the shared θlb and the per-partition top-k lists
-  /// are merged. 1 = unpartitioned.
-  size_t num_partitions = 1;
-  uint64_t partition_seed = 7;
-};
-
 class KoiosSearcher {
  public:
   /// `sets`: the repository L. `index`: a neighbor index over L's
   /// vocabulary (exact for exact search). Both must outlive the searcher.
-  KoiosSearcher(const index::SetCollection* sets, sim::SimilarityIndex* index,
-                const SearcherOptions& options = {});
+  KoiosSearcher(const index::SetCollection* sets, sim::SimilarityIndex* index);
 
   /// Top-k semantic overlap search for `query` (distinct tokens).
   /// Single-consumer convenience: probes the constructor's index directly
@@ -53,19 +42,18 @@ class KoiosSearcher {
                       const SearchParams& params, sim::SimilarityIndex* index,
                       SearchContext* ctx) const;
 
-  size_t num_partitions() const { return partition_inverted_.size(); }
-
   /// True if `token` occurs in the repository vocabulary D.
-  bool InVocabulary(TokenId token) const;
+  bool InVocabulary(TokenId token) const {
+    return inverted_.InVocabulary(token);
+  }
 
-  /// Aggregate index footprint (inverted indexes across partitions).
-  size_t IndexMemoryUsageBytes() const;
+  /// Footprint of the searcher's inverted index.
+  size_t IndexMemoryUsageBytes() const { return inverted_.MemoryUsageBytes(); }
 
  private:
   const index::SetCollection* sets_;
   sim::SimilarityIndex* index_;
-  SearcherOptions options_;
-  std::vector<index::InvertedIndex> partition_inverted_;
+  index::InvertedIndex inverted_;
 };
 
 }  // namespace koios::core

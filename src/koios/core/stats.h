@@ -18,7 +18,8 @@ struct SearchStats {
   // --- refinement --------------------------------------------------------
   /// Tuples consumed from the token stream Ie.
   size_t stream_tuples = 0;
-  /// Tuples the producer materialized (once per query, not per partition).
+  /// Tuples the producer materialized (once per search; summed over shards
+  /// in a sharded result).
   /// With θlb→producer feedback this is the pruned count; the drain-to-α
   /// path produces every pair >= α.
   size_t stream_tuples_produced = 0;

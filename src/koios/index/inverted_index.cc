@@ -1,37 +1,23 @@
 #include "koios/index/inverted_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace koios::index {
 
 InvertedIndex::InvertedIndex(const SetCollection& collection) {
-  std::vector<SetId> all(collection.size());
-  std::iota(all.begin(), all.end(), 0);
-  Build(collection, all);
-}
-
-InvertedIndex::InvertedIndex(const SetCollection& collection,
-                             std::span<const SetId> subset) {
-  Build(collection, subset);
-}
-
-void InvertedIndex::Build(const SetCollection& collection,
-                          std::span<const SetId> subset) {
   const size_t bound = collection.TokenIdBound();
   heads_.assign(bound, kEmpty);
 
   // Two passes: count posting lengths, then fill.
   std::vector<size_t> counts(bound, 0);
   size_t total = 0;
-  for (SetId id : subset) {
+  for (SetId id = 0; id < collection.size(); ++id) {
     for (TokenId t : collection.Tokens(id)) {
       ++counts[t];
       ++total;
     }
   }
   postings_.resize(total);
-  ranges_.clear();
   std::vector<size_t> cursor(bound, 0);
   size_t offset = 0;
   for (TokenId t = 0; t < bound; ++t) {
@@ -41,7 +27,7 @@ void InvertedIndex::Build(const SetCollection& collection,
     cursor[t] = offset;
     offset += counts[t];
   }
-  for (SetId id : subset) {
+  for (SetId id = 0; id < collection.size(); ++id) {
     for (TokenId t : collection.Tokens(id)) {
       postings_[cursor[t]++] = id;
     }

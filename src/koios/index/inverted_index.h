@@ -17,10 +17,6 @@ class InvertedIndex {
   /// Builds postings for every set in `collection` (dense by token id).
   explicit InvertedIndex(const SetCollection& collection);
 
-  /// Builds postings for a *subset* of the collection — used by
-  /// partitioned search, where each partition indexes only its own sets.
-  InvertedIndex(const SetCollection& collection, std::span<const SetId> subset);
-
   /// Sets containing `token` (ascending SetId); empty if none.
   std::span<const SetId> Postings(TokenId token) const {
     if (token >= heads_.size() || heads_[token] == kEmpty) return {};
@@ -45,8 +41,6 @@ class InvertedIndex {
   }
 
  private:
-  void Build(const SetCollection& collection, std::span<const SetId> subset);
-
   static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
 
   std::vector<SetId> postings_;                      // concatenated lists

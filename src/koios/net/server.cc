@@ -500,8 +500,15 @@ void DispatchHttp(LoopContext& ctx, Connection& c, const std::string& head) {
     }
   } else if (path == "/metrics") {
     if (ctx.registry != nullptr) {
-      response =
-          HttpResponse(200, "OK", ctx.registry->RenderText(), head_only);
+      // A collection callback that throws fails this scrape, not the
+      // process: nothing above the event loop would catch it.
+      try {
+        response =
+            HttpResponse(200, "OK", ctx.registry->RenderText(), head_only);
+      } catch (...) {
+        response = HttpResponse(500, "Internal Server Error",
+                                "metrics render failed\n", head_only);
+      }
     } else {
       response = HttpResponse(404, "Not Found", "no metric registry\n",
                               head_only);

@@ -141,7 +141,9 @@ void RegisterEngineMetrics(
   m.cache_capacity_bytes = registry->RegisterGauge(
       "koios_cursor_cache_capacity_bytes", "Configured budget (0 = unbounded)");
 
-  registry->AddCollectionCallback([m, resolve = std::move(resolve)] {
+  // The engine callback and the per-shard callback below each hold a copy
+  // of the resolver.
+  registry->AddCollectionCallback([m, resolve] {
     const std::shared_ptr<const QueryEngine> engine = resolve();
     if (engine == nullptr) return;  // not built yet: metrics stay at 0
     const EngineCounters counters = engine->counters();
@@ -199,7 +201,7 @@ void RegisterEngineMetrics(
   // existing series, and each render overwrites with the authoritative
   // snapshot. The EWMA gauges are the overload governor's per-shard view
   // — the governor itself reads the SLOWEST of them, not a blend.
-  registry->AddCollectionCallback([registry, resolve] {
+  registry->AddCollectionCallback([registry, resolve = std::move(resolve)] {
     const std::shared_ptr<const QueryEngine> engine = resolve();
     if (engine == nullptr) return;
     const size_t shards = engine->num_shards();

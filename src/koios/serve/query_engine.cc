@@ -37,7 +37,6 @@ ShardOptions QueryEngine::MakeShardOptions() const {
   ShardOptions shard_options;
   shard_options.num_shards = std::max<size_t>(1, options_.num_shards);
   shard_options.theta_exchange = options_.shard_theta_exchange;
-  shard_options.searcher = options_.searcher;
   return shard_options;
 }
 
@@ -101,7 +100,7 @@ void QueryEngine::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
   // the borrowed-parts construction mode).
   assert(snapshot != nullptr);
   if (snapshot == nullptr) return;
-  // Build the replacement state (partition inverted indexes, session
+  // Build the replacement state (shard inverted indexes, session
   // probe, cache budget) BEFORE taking the lock: in-flight and newly
   // admitted queries keep serving against the current state while the
   // expensive part runs; only the pointer flip itself is serialized.

@@ -3,7 +3,7 @@
 // multiplexes many over a shared util::ThreadPool:
 //
 //  * Shared immutable state, per-query sessions. The engine owns the
-//    partition inverted indexes (inside a const KoiosSearcher) and borrows
+//    inverted indexes (inside each shard's const KoiosSearcher) and borrows
 //    the snapshot's neighbor index; every admitted query probes through
 //    its own SimilarityIndex::NewSession(), so concurrent queries share
 //    built cursors (the sharded cache pays each (token, α) build once
@@ -26,7 +26,7 @@
 //    counts against (and is cut short by) the queries' deadline instead
 //    of silently delaying every query with the clock not yet running.
 //  * Live snapshot hot-swap. Everything a query dereferences — snapshot,
-//    searcher (partition indexes), neighbor index — is bundled in one
+//    shard searchers (inverted indexes), neighbor index — is bundled in one
 //    immutable ServingState resolved at ADMISSION time and pinned by the
 //    query until it completes. SwapSnapshot builds a replacement state
 //    off the serving path and flips the shared pointer between queries:
@@ -81,8 +81,6 @@ struct EngineOptions {
   /// backends ignore it). A long-running engine should set this: the
   /// (token, α) cache otherwise grows with lifetime traffic.
   size_t cursor_cache_bytes = 0;
-  /// Repository partitioning (paper §VI) used by the engine's searcher.
-  core::SearcherOptions searcher;
 
   /// Corpus shards (ROADMAP item 4): the set collection is partitioned
   /// into this many contiguous slices, each searched by its own
@@ -96,12 +94,12 @@ struct EngineOptions {
   /// slice the NEW snapshot at the same N, flipping all shards atomically
   /// (they live inside the one ServingState pointer).
   size_t num_shards = 1;
-  /// Cross-shard θlb exchange (paper §VI partition pruning, lifted to
-  /// shards): every shard's refinement publishes into one query-global
-  /// threshold that all shards' producers read, so a bound proven by any
-  /// shard stops the others' streams early. Results are identical either
-  /// way — off is the independent-shard baseline the scaling bench
-  /// measures the exchange against. Ignored at num_shards = 1.
+  /// Cross-shard θlb exchange (paper §VI partition pruning): every
+  /// shard's refinement publishes into one query-global threshold that all
+  /// shards' producers read, so a bound proven by any shard stops the
+  /// others' streams early. Results are identical either way — off is the
+  /// independent-shard baseline the scaling bench measures the exchange
+  /// against. Ignored at num_shards = 1.
   bool shard_theta_exchange = true;
 
   /// Completed queries slower than this get a report — the query's full
@@ -218,7 +216,7 @@ class QueryEngine {
 
   /// Atomically points the engine at a rebuilt repository between queries
   /// (reindex, corpus update) WITHOUT draining: the replacement serving
-  /// state — searcher with partition indexes, cursor-cache budget — is
+  /// state — shard searchers with their indexes, cursor-cache budget — is
   /// built here off the serving path, then flipped. Queries admitted
   /// before the flip complete against the snapshot they were admitted
   /// under (bit-identical to an un-swapped engine); queries submitted
@@ -314,7 +312,7 @@ class QueryEngine {
   };
   using StatePtr = std::shared_ptr<const ServingState>;
 
-  /// Builds a serving state (partition indexes, sessions probe, cursor
+  /// Builds a serving state (shard inverted indexes, sessions probe, cursor
   /// cache budget). Runs off the serving path — existing queries keep
   /// executing against the current state meanwhile.
   StatePtr MakeState(std::shared_ptr<const Snapshot> snapshot,

@@ -19,16 +19,14 @@ ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
   // One shard serves the FULL collection directly (no slice, no rebased
   // offsets) — the N=1 fast path the equivalence contract depends on.
   if (options.num_shards <= 1 || sets->size() <= 1) {
-    shards_.push_back(
-        std::make_unique<ShardEngine>(sets, index, options.searcher));
+    shards_.push_back(std::make_unique<ShardEngine>(sets, index));
     return;
   }
   std::vector<io::ShardSlice> slices =
       io::SliceCollection(*sets, options.num_shards);
   shards_.reserve(slices.size());
   for (io::ShardSlice& slice : slices) {
-    shards_.push_back(std::make_unique<ShardEngine>(std::move(slice), index,
-                                                    options.searcher));
+    shards_.push_back(std::make_unique<ShardEngine>(std::move(slice), index));
   }
 }
 
@@ -125,7 +123,7 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
   // Gather: every global top-k entry ranks within the top-k of its own
   // shard, so concatenating the shard lists and re-sorting under the
   // global total order loses nothing; the (score desc, id asc) tie-break
-  // is exactly the searcher's own partition merge, which is what makes
+  // is exactly the order PostProcessor::Run returns, which is what makes
   // the result bit-identical to N=1.
   KOIOS_TRACE_SPAN("shard.merge");
   core::SearchResult result;

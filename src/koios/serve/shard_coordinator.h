@@ -1,7 +1,8 @@
-// ShardCoordinator — scatter-gather query execution over N ShardEngines
-// (ROADMAP item 4: the paper's §VI partition pruning lifted from
-// in-process partitions to corpus shards, behind the unchanged Submit
-// interface).
+// ShardCoordinator — scatter-gather query execution over N ShardEngines:
+// the paper's §VI partitions (parts of the repository searched in parallel
+// under one global θlb) as corpus shards, behind the unchanged Submit
+// interface. It is the only way a query is split; each shard's
+// KoiosSearcher runs one unpartitioned search.
 //
 // Per query the coordinator:
 //  1. creates ONE query-global θlb and N per-shard SearchContexts (each
@@ -60,9 +61,6 @@ struct ShardOptions {
   /// scaling bench compares against; results are identical either way,
   /// only the work differs.
   bool theta_exchange = true;
-  /// Per-shard in-process partitioning (paper §VI), applied within each
-  /// shard's searcher.
-  core::SearcherOptions searcher;
 };
 
 class ShardCoordinator {

@@ -11,8 +11,7 @@
 // sharing happens through the SearchContext the caller passes in: the
 // ShardCoordinator attaches one query-global θlb to every shard's
 // context, so each shard's refinement prunes against the best bound ANY
-// shard has proven so far (paper §VI partition pruning, lifted one
-// level).
+// shard has proven so far (paper §VI partition pruning).
 //
 // Immutability/pinning: the engine holds raw pointers into its slice and
 // into the shared index, and its searcher holds a pointer back into the
@@ -36,19 +35,17 @@ class ShardEngine {
   /// Full-collection shard (the N=1 fast path): no slice is materialized,
   /// the searcher runs over `sets` directly and result ids are already
   /// global. `sets` and `index` must outlive the engine.
-  ShardEngine(const index::SetCollection* sets, sim::SimilarityIndex* index,
-              const core::SearcherOptions& options)
-      : base_(0), sets_(sets), searcher_(sets, index, options) {}
+  ShardEngine(const index::SetCollection* sets, sim::SimilarityIndex* index)
+      : base_(0), sets_(sets), searcher_(sets, index) {}
 
   /// Slice shard: takes ownership of the slice (the searcher is built
   /// over slice.sets, which borrows the PARENT collection's token arena —
   /// the caller must keep whatever owns the parent alive).
-  ShardEngine(io::ShardSlice slice, sim::SimilarityIndex* index,
-              const core::SearcherOptions& options)
+  ShardEngine(io::ShardSlice slice, sim::SimilarityIndex* index)
       : slice_(std::move(slice)),
         base_(slice_.base),
         sets_(&slice_.sets),
-        searcher_(&slice_.sets, index, options) {}
+        searcher_(&slice_.sets, index) {}
 
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;

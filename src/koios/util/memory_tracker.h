@@ -31,7 +31,7 @@ class MemoryTracker {
   const std::map<std::string, size_t>& categories() const { return bytes_; }
 
   /// Merge another tracker into this one (summing categories); used when
-  /// aggregating per-partition footprints.
+  /// aggregating per-shard footprints.
   void Merge(const MemoryTracker& other);
 
   void Clear();

@@ -1,7 +1,7 @@
 // Deterministic random number generation. Every stochastic component in the
-// library (embedding synthesis, corpus generation, partition assignment,
-// query sampling) draws from an explicitly seeded Rng so experiments are
-// reproducible bit-for-bit given their seed.
+// library (embedding synthesis, corpus generation, query sampling) draws
+// from an explicitly seeded Rng so experiments are reproducible bit-for-bit
+// given their seed.
 #ifndef KOIOS_UTIL_RNG_H_
 #define KOIOS_UTIL_RNG_H_
 
@@ -34,8 +34,8 @@ class Rng {
   /// Bernoulli trial.
   bool NextBool(double p_true);
 
-  /// Derive an independent child generator (e.g. one per partition or per
-  /// worker thread) from this generator's stream.
+  /// Derive an independent child generator (e.g. one per worker thread)
+  /// from this generator's stream.
   Rng Fork();
 
  private:

@@ -1,7 +1,7 @@
 // Fixed-size worker pool used to parallelize exact graph matching during the
-// post-processing phase and to search repository partitions concurrently
-// (paper §VI and §VIII-A3, which uses a C++17 thread pool for the same
-// purpose). Re-implemented from scratch.
+// post-processing phase and to search corpus shards concurrently (paper §VI
+// and §VIII-A3, which uses a C++17 thread pool for the same purpose).
+// Re-implemented from scratch.
 #ifndef KOIOS_UTIL_THREAD_POOL_H_
 #define KOIOS_UTIL_THREAD_POOL_H_
 

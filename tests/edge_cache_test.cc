@@ -172,8 +172,8 @@ TEST(EdgeCacheTest, InlineModeSealsEarlyWithSlack) {
 }
 
 TEST(EdgeCacheTest, InlineCacheReplaysAcrossSerialConsumers) {
-  // The serial-partition shape: one feedback-enabled cache, consumed by
-  // one partition after another. Consumer A stops after a short prefix;
+  // Two consumers of one feedback-enabled cache, one after the other
+  // (NextTuples' per-consumer cursor). Consumer A stops after a short prefix;
   // the still-unsealed cache must build the same matrices a sealed
   // drain-to-α cache does (completion fills in the unproduced pairs);
   // consumer B then replays from position 0, sees A's prefix unchanged,

@@ -1,5 +1,5 @@
 // The central correctness property of the repository: for any corpus,
-// query, k, α, partitioning, and filter configuration, Koios returns an
+// query, k, α, shard count, and filter configuration, Koios returns an
 // exact top-k result — the k-th score equals the brute-force oracle's θ*k,
 // and every reported set's score is its true semantic overlap.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "koios/core/searcher.h"
+#include "koios/serve/shard_coordinator.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -18,6 +19,21 @@ using testing::OracleKthScore;
 using testing::OracleRanking;
 
 constexpr double kTol = 1e-6;
+
+// The query through `num_shards` shards searched one after another on this
+// thread (null pool) with the cross-shard θlb exchange on.
+SearchResult ShardedSearch(const serve::ShardCoordinator& coordinator,
+                           std::span<const TokenId> query,
+                           const SearchParams& params) {
+  return coordinator.Execute(query, params, {}, /*shard_pool=*/nullptr,
+                             /*report=*/nullptr);
+}
+
+serve::ShardOptions Shards(size_t num_shards) {
+  serve::ShardOptions options;
+  options.num_shards = num_shards;
+  return options;
+}
 
 void ExpectExactTopK(const index::SetCollection& sets,
                      std::span<const TokenId> query,
@@ -142,29 +158,28 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 3, 10, 25),
                        ::testing::Values(0.6, 0.75, 0.85, 0.95)));
 
-// ------------------------------------------------------------ partitions --
+// ---------------------------------------------------------------- shards --
 
-class PartitionExactnessTest : public ::testing::TestWithParam<size_t> {};
+class ShardExactnessTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(PartitionExactnessTest, PartitionedSearchIsExact) {
-  const size_t partitions = GetParam();
+TEST_P(ShardExactnessTest, ShardedSearchIsExact) {
+  const size_t shards = GetParam();
   auto w = MakeRandomWorkload(130, 600, 5, 25, 3000);
-  SearcherOptions options;
-  options.num_partitions = partitions;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
-  EXPECT_EQ(searcher.num_partitions(), partitions);
+  const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                            Shards(shards));
+  EXPECT_EQ(coordinator.num_shards(), shards);
   for (SetId qid : {SetId{2}, SetId{64}}) {
     const auto q = w.corpus.sets.Tokens(qid);
     SearchParams params;
     params.k = 8;
     params.alpha = 0.78;
-    const SearchResult result = searcher.Search(q, params);
+    const SearchResult result = ShardedSearch(coordinator, q, params);
     ExpectExactTopK(w.corpus.sets, q, *w.sim, params.alpha, result, params.k,
-                    "partitions=" + std::to_string(partitions));
+                    "shards=" + std::to_string(shards));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PartitionCounts, PartitionExactnessTest,
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardExactnessTest,
                          ::testing::Values<size_t>(1, 2, 5, 10, 25));
 
 // -------------------------------------------------------- filter ablation --
@@ -209,15 +224,14 @@ TEST(ExactnessTest, RandomizedStress) {
   // surfaces as a θ*k mismatch here.
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     auto w = MakeRandomWorkload(60 + seed * 5, 300 + seed * 20, 3, 18, seed * 7);
-    SearcherOptions options;
-    options.num_partitions = 1 + seed % 4;
-    KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+    const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                              Shards(1 + seed % 4));
     const SetId qid = static_cast<SetId>(seed * 3 % w.corpus.sets.size());
     const auto q = w.corpus.sets.Tokens(qid);
     SearchParams params;
     params.k = 1 + seed % 9;
     params.alpha = 0.65 + 0.03 * (seed % 10);
-    const SearchResult result = searcher.Search(q, params);
+    const SearchResult result = ShardedSearch(coordinator, q, params);
     ExpectExactTopK(w.corpus.sets, q, *w.sim, params.alpha, result, params.k,
                     "stress seed=" + std::to_string(seed));
   }

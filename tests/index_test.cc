@@ -4,6 +4,7 @@
 
 #include "koios/index/inverted_index.h"
 #include "koios/index/set_collection.h"
+#include "koios/io/shard_slice.h"
 
 namespace koios::index {
 namespace {
@@ -90,22 +91,6 @@ TEST(InvertedIndexTest, MissingTokenYieldsEmpty) {
   EXPECT_TRUE(index.InVocabulary(1));
 }
 
-TEST(InvertedIndexTest, SubsetIndexesOnlyItsSets) {
-  SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{1, 2});  // set 0
-  sets.AddSet(std::vector<TokenId>{2, 3});  // set 1
-  sets.AddSet(std::vector<TokenId>{1, 3});  // set 2
-  const std::vector<SetId> subset = {0, 2};
-  InvertedIndex index(sets, subset);
-  const auto p1 = index.Postings(1);
-  ASSERT_EQ(p1.size(), 2u);
-  EXPECT_EQ(p1[0], 0u);
-  EXPECT_EQ(p1[1], 2u);
-  const auto p2 = index.Postings(2);
-  ASSERT_EQ(p2.size(), 1u);
-  EXPECT_EQ(p2[0], 0u);  // set 1 not in this partition
-}
-
 TEST(InvertedIndexTest, VocabularyListsDistinctTokens) {
   SetCollection sets;
   sets.AddSet(std::vector<TokenId>{5, 9});
@@ -120,19 +105,30 @@ TEST(InvertedIndexTest, VocabularyListsDistinctTokens) {
   EXPECT_EQ(index.MaxPostingLength(), 2u);
 }
 
-TEST(InvertedIndexTest, PartitionsCoverWholeCollection) {
+TEST(InvertedIndexTest, ShardSliceIndexesCoverWholeCollection) {
   SetCollection sets;
   for (TokenId t = 0; t < 30; ++t) {
     sets.AddSet(std::vector<TokenId>{t, t + 1, t + 2});
   }
-  std::vector<SetId> even, odd;
-  for (SetId id = 0; id < sets.size(); ++id) {
-    (id % 2 == 0 ? even : odd).push_back(id);
+  const InvertedIndex full(sets);
+  const std::vector<io::ShardSlice> slices = io::SliceCollection(sets, 3);
+  ASSERT_EQ(slices.size(), 3u);
+  std::vector<InvertedIndex> shard_indexes;
+  for (const io::ShardSlice& slice : slices) {
+    shard_indexes.emplace_back(slice.sets);
   }
-  InvertedIndex full(sets), pe(sets, even), po(sets, odd);
   for (TokenId t = 0; t < 32; ++t) {
-    EXPECT_EQ(full.Postings(t).size(),
-              pe.Postings(t).size() + po.Postings(t).size());
+    // The shards' postings, rebased to global ids and concatenated in
+    // shard order, are exactly the full index's postings.
+    std::vector<SetId> joined;
+    for (size_t i = 0; i < slices.size(); ++i) {
+      for (SetId local : shard_indexes[i].Postings(t)) {
+        joined.push_back(slices[i].base + local);
+      }
+    }
+    const auto want = full.Postings(t);
+    EXPECT_EQ(joined, std::vector<SetId>(want.begin(), want.end()))
+        << "token " << t;
   }
 }
 

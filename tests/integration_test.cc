@@ -158,9 +158,7 @@ TEST(IntegrationTest, LargeRandomWorkloadSmoke) {
   // A bigger end-to-end pass guarding against scaling bugs (hash
   // collisions, id overflow, accidental quadratic loops).
   auto w = testing::MakeRandomWorkload(600, 2000, 5, 40, 10003);
-  core::SearcherOptions options;
-  options.num_partitions = 4;
-  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   core::SearchParams params;
   params.k = 20;
   params.alpha = 0.8;

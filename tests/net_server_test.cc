@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "koios/net/server.h"
 #include "koios/net/socket.h"
 #include "koios/serve/query_engine.h"
+#include "koios/util/fault_injector.h"
 #include "koios/util/metric_registry.h"
 #include "test_util.h"
 
@@ -280,6 +282,23 @@ TEST(NetServerTest, HttpEndpointsAnswerOnTheSameListener) {
   EXPECT_EQ(code, 404);
 }
 
+TEST(NetServerTest, MetricsRenderFailureAnswers500AndServerSurvives) {
+  std::unique_ptr<ServerFixture> owner = MakeServer();
+  ServerFixture& f = *owner;
+  f.registry.AddCollectionCallback(
+      [] { throw std::runtime_error("collection callback failed"); });
+
+  int code = 0;
+  auto metrics = HttpGet("127.0.0.1", f.server->port(), "/metrics", &code);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(code, 500);
+
+  auto health = HttpGet("127.0.0.1", f.server->port(), "/healthz", &code);
+  ASSERT_TRUE(health.ok()) << "server died on a failed metrics render";
+  EXPECT_EQ(code, 200);
+  EXPECT_EQ(health.value(), "ok\n");
+}
+
 TEST(NetServerTest, UnreadySlotShedsWithRetryHintAndReadyzSays503) {
   ServerOptions options;
   options.unavailable_retry_after_ms = 77;
@@ -392,6 +411,13 @@ TEST(NetServerTest, KilledClientMidStreamCancelsItsQueriesAndServerSurvives) {
   // A large pipelined batch on a 1-worker engine: most of it is still
   // queued when the client dies, and the finished frames the server keeps
   // writing hit a dead socket (the EPIPE path MSG_NOSIGNAL must absorb).
+  // Every engine-pool dispatch sleeps 20 ms while the batch is in flight,
+  // so the 48 queries take about a second and cannot all finish before
+  // the close, however fast a search is.
+  util::FaultSpec slow_dispatch;
+  slow_dispatch.latency = std::chrono::milliseconds(20);
+  auto dispatch_fault = std::make_unique<util::ScopedFault>(
+      "threadpool.dispatch", slow_dispatch);
   RequestFrame frame;
   frame.op = Op::kSearchMany;
   frame.k = 5;
@@ -416,6 +442,7 @@ TEST(NetServerTest, KilledClientMidStreamCancelsItsQueriesAndServerSurvives) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(cancelled) << "disconnect did not cancel in-flight queries";
+  dispatch_fault.reset();
 
   auto next = BlockingClient::Connect("127.0.0.1", f.server->port());
   ASSERT_TRUE(next.ok()) << "server died after mid-stream disconnect";

@@ -40,11 +40,9 @@ TEST(SearcherTest, RepeatedSearchesAreDeterministic) {
   }
 }
 
-TEST(SearcherTest, VocabularyPredicateSpansPartitions) {
+TEST(SearcherTest, VocabularyPredicateCoversRepository) {
   auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 703);
-  SearcherOptions options;
-  options.num_partitions = 4;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   for (TokenId t : w.corpus.vocabulary) {
     EXPECT_TRUE(searcher.InVocabulary(t));
   }
@@ -119,23 +117,6 @@ TEST(SearcherTest, WorksWithLshIndexAgainstLshOracle) {
   // through the vocabulary predicate, not the LSH buckets.
   EXPECT_EQ(result.topk[0].set, 3u);
   EXPECT_NEAR(result.topk[0].score, static_cast<Score>(query.size()), 1e-6);
-}
-
-TEST(SearcherTest, PartitionSeedChangesAssignmentNotResult) {
-  auto w = testing::MakeRandomWorkload(90, 400, 5, 18, 708);
-  SearcherOptions o1, o2;
-  o1.num_partitions = o2.num_partitions = 5;
-  o1.partition_seed = 1;
-  o2.partition_seed = 999;
-  KoiosSearcher s1(&w.corpus.sets, w.index.get(), o1);
-  KoiosSearcher s2(&w.corpus.sets, w.index.get(), o2);
-  SearchParams params;
-  params.k = 6;
-  const auto query = QueryOf(w, 22);
-  const auto r1 = s1.Search(query, params);
-  const auto r2 = s2.Search(query, params);
-  ASSERT_EQ(r1.topk.size(), r2.topk.size());
-  EXPECT_NEAR(r1.KthScore(), r2.KthScore(), 1e-6);
 }
 
 }  // namespace

@@ -97,32 +97,6 @@ TEST(QueryEngineTest, ConcurrentSubmitsMatchSerialSearchBitForBit) {
   EXPECT_EQ(engine.latency().count(), scenarios.size());
 }
 
-TEST(QueryEngineTest, PartitionedEngineMatchesPartitionedSerial) {
-  auto w = testing::MakeRandomWorkload(150, 600, 5, 25, 11002);
-  const auto scenarios = MakeScenarios(w, 12);
-
-  core::SearcherOptions searcher_options;
-  searcher_options.num_partitions = 4;
-  KoiosSearcher serial(&w.corpus.sets, w.index.get(), searcher_options);
-
-  EngineOptions options;
-  options.num_threads = 3;
-  options.searcher = searcher_options;
-  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
-
-  std::vector<std::future<QueryEngine::Result>> futures;
-  for (const Scenario& s : scenarios) {
-    futures.push_back(engine.Submit(s.query, s.params));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    QueryEngine::Result result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const SearchResult want = serial.Search(scenarios[i].query,
-                                            scenarios[i].params);
-    ExpectSameResult(result.value(), want, "partitioned");
-  }
-}
-
 TEST(QueryEngineTest, ClosedLoopClientsStayExact) {
   // Multi-threaded submitters (the closed-loop shape of the throughput
   // bench): every client thread loops over its own slice synchronously.

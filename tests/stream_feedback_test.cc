@@ -13,6 +13,7 @@
 #include "koios/core/searcher.h"
 #include "koios/matching/hungarian.h"
 #include "koios/matching/semantic_overlap.h"
+#include "koios/serve/shard_coordinator.h"
 #include "koios/sim/lsh_index.h"
 #include "koios/sim/token_stream.h"
 #include "test_util.h"
@@ -26,17 +27,31 @@ using testing::OracleRanking;
 
 constexpr double kTol = 1e-9;
 
+// `num_shards` shards searched one after another on this thread (null
+// pool), sharing one θlb.
+serve::ShardCoordinator SequentialShards(const testing::RandomWorkload& w,
+                                         size_t num_shards) {
+  serve::ShardOptions options;
+  options.num_shards = num_shards;
+  return serve::ShardCoordinator(&w.corpus.sets, w.index.get(), options);
+}
+
+SearchResult ShardedRun(const serve::ShardCoordinator& coordinator,
+                        std::span<const TokenId> query,
+                        const SearchParams& params) {
+  return coordinator.Execute(query, params, {}, /*shard_pool=*/nullptr,
+                             /*report=*/nullptr);
+}
+
 // Runs the same query with feedback on and off and checks:
 //  * both results are identical entry by entry (set ids and exact scores),
 //  * both match the brute-force oracle (θ*k and every reported SO),
 //  * feedback never produces more tuples than the drain.
 void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
-                         size_t partitions, size_t k, Score alpha,
+                         size_t shards, size_t k, Score alpha,
                          const std::string& label) {
   const auto q = w->corpus.sets.Tokens(query_set);
-  SearcherOptions options;
-  options.num_partitions = partitions;
-  KoiosSearcher searcher(&w->corpus.sets, w->index.get(), options);
+  const serve::ShardCoordinator coordinator = SequentialShards(*w, shards);
 
   SearchParams feedback;
   feedback.k = k;
@@ -45,8 +60,8 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   SearchParams drain = feedback;
   drain.use_stream_feedback = false;
 
-  const SearchResult rf = searcher.Search(q, feedback);
-  const SearchResult rd = searcher.Search(q, drain);
+  const SearchResult rf = ShardedRun(coordinator, q, feedback);
+  const SearchResult rd = ShardedRun(coordinator, q, drain);
 
   // Bit-identical top-k between the two modes.
   ASSERT_EQ(rf.topk.size(), rd.topk.size()) << label;
@@ -76,25 +91,25 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   EXPECT_EQ(rd.stats.stream_stop_sim, 0.0) << label;
 }
 
-// ------------------------------------------------- exactness, k x p grid --
+// ------------------------------------------------- exactness, k x N grid --
 
 class FeedbackExactnessTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
-  const auto [partitions, k] = GetParam();
-  auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + partitions * 17 + k);
+  const auto [shards, k] = GetParam();
+  auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + shards * 17 + k);
   for (SetId qid : {SetId{1}, SetId{57}}) {
-    ExpectFeedbackExact(&w, qid, partitions, k, 0.75,
-                        "p=" + std::to_string(partitions) +
+    ExpectFeedbackExact(&w, qid, shards, k, 0.75,
+                        "N=" + std::to_string(shards) +
                             " k=" + std::to_string(k) +
                             " q=" + std::to_string(qid));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PartitionKGrid, FeedbackExactnessTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 4),       // partitions
+    ShardKGrid, FeedbackExactnessTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 4),       // shards
                        ::testing::Values<size_t>(1, 5, 20)));  // k
 
 // --------------------------------------------------------- stop above α --
@@ -130,27 +145,26 @@ TEST(StreamFeedbackTest, StopsStrictlyAboveAlphaOnSkewedCorpus) {
   }
 }
 
-TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
-  // §VI: the stop machinery derives from the cross-partition
-  // GlobalThreshold. In a 4-partition search the partition holding the
-  // query set publishes θlb = |Q|, after which every later partition's
-  // consumer breaks almost immediately — aggregate consumption must drop
-  // well below the drain's, and production must never exceed it.
+TEST(StreamFeedbackTest, ShardedSearchSharesGlobalTheta) {
+  // §VI: the stop machinery derives from the cross-shard GlobalThreshold.
+  // In a 4-shard sequential scatter, shard 0 holds the query set and
+  // publishes θlb = |Q|, after which every later shard's consumer breaks
+  // almost immediately — consumption summed over the shards must drop
+  // below the drain's, and production must never exceed it.
   auto w = MakeRandomWorkload(200, 800, 8, 30, 8102);
-  SearcherOptions options;
-  options.num_partitions = 4;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  const serve::ShardCoordinator coordinator = SequentialShards(w, 4);
+  ASSERT_EQ(coordinator.num_shards(), 4u);
   const auto q = w.corpus.sets.Tokens(21);
   SearchParams params;
   params.k = 1;
   params.alpha = 0.55;
-  const SearchResult serial = searcher.Search(q, params);
+  const SearchResult sharded = ShardedRun(coordinator, q, params);
 
   SearchParams drain = params;
   drain.use_stream_feedback = false;
-  const SearchResult drained = searcher.Search(q, drain);
-  EXPECT_LT(serial.stats.stream_tuples, drained.stats.stream_tuples);
-  EXPECT_LE(serial.stats.stream_tuples_produced,
+  const SearchResult drained = ShardedRun(coordinator, q, drain);
+  EXPECT_LT(sharded.stats.stream_tuples, drained.stats.stream_tuples);
+  EXPECT_LE(sharded.stats.stream_tuples_produced,
             drained.stats.stream_tuples_produced);
 }
 
